@@ -126,8 +126,48 @@ fn write_bench_json(hosts: u64, seed: u64) -> bench::PerfReport {
     report
 }
 
+/// Every subcommand `main` dispatches on, in dispatch order.
+const SUBCOMMANDS: &[&str] = &[
+    "all",
+    "table1",
+    "table2",
+    "table3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig6mc",
+    "fig7mc",
+    "fig8mc",
+    "shards",
+    "speedup",
+    "benchjson",
+    "fleet",
+    "fleetrecover",
+    "sbparity",
+    "ckptparity",
+    "ckptcadence",
+    "fig9fail",
+    "fig9dist",
+    "obs",
+    "obsjson",
+    "vsef",
+    "endtoend",
+    "ablation",
+    "rho",
+    "community",
+    "vigilante",
+    "nx",
+];
+
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
+    if !SUBCOMMANDS.contains(&which.as_str()) {
+        eprintln!("tables: unknown subcommand '{which}'");
+        eprintln!("known subcommands: {}", SUBCOMMANDS.join(" "));
+        std::process::exit(2);
+    }
     let all = which == "all";
     if all || which == "table1" {
         println!("{}", table1());

@@ -12,6 +12,18 @@
 //! captured at take time, and is bit-identical to a full clone — a
 //! property the manager's `Differential` engine and the
 //! `checkpoint_incremental` proptests enforce page by page.
+//!
+//! **Hash once at intern; images fold slot digests; materialize
+//! re-verifies bytes.** A page's bytes are hashed when it is interned
+//! (the slot keeps that digest). A capture builds its image digest by
+//! folding each entry's `(page, generation, slot digest)` — it never
+//! re-hashes the live machine — which equals [`mem_digest`] of the
+//! captured image because `intern` byte-verifies a slot before reusing
+//! it and equal write generations mean equal bytes. Materialization is
+//! the one place that re-reads every byte: it recomputes [`mem_digest`]
+//! of the rebuilt image, the fail-closed check against delta-chain
+//! truncation and dedupe-store eviction. All-zero pages, most of a
+//! guest's image, hash to a constant after a zero scan.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -19,19 +31,75 @@ use std::sync::Arc;
 use svm::mem::{Mem, Page, PAGE_SIZE};
 use svm::Machine;
 
-/// FNV-1a over a byte slice (the workspace's standard offline hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over a byte slice (the workspace's standard offline hash),
+/// continuing from state `h`.
+const fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+        i += 1;
     }
     h
 }
 
+/// FNV-1a over a byte slice.
+const fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
+/// [`page_digest`] of an all-zero page.
+const ZERO_PAGE_DIGEST: u64 = fnv1a(&[0u8; PAGE_SIZE]);
+
 /// Content digest of one page.
 pub fn page_digest(page: &Page) -> u64 {
-    fnv1a(&page.0[..])
+    page_digest_bytes(&page.0)
+}
+
+/// FNV-1a of the page, short-cut to [`ZERO_PAGE_DIGEST`] when every
+/// byte is zero. The zero scan still reads every byte of a zero page.
+fn page_digest_bytes(bytes: &[u8; PAGE_SIZE]) -> u64 {
+    // OR-reduce 64-byte chunks (vectorizes), stopping at the first
+    // non-zero chunk.
+    if bytes
+        .chunks_exact(64)
+        .all(|c| c.iter().fold(0u8, |acc, &b| acc | b) == 0)
+    {
+        ZERO_PAGE_DIGEST
+    } else {
+        fnv1a(bytes)
+    }
+}
+
+/// The one fold behind every image digest: FNV-1a over the
+/// little-endian words `(page number, write generation, page digest)`
+/// of each mapped page in ascending page order, then the global write
+/// watermark and the NX flag.
+struct ImageFold(u64);
+
+impl ImageFold {
+    fn new() -> ImageFold {
+        ImageFold(FNV_OFFSET)
+    }
+
+    fn word(&mut self, v: u64) {
+        self.0 = fnv1a_from(self.0, &v.to_le_bytes());
+    }
+
+    fn page(&mut self, pno: u32, gen: u64, digest: u64) {
+        self.word(pno as u64);
+        self.word(gen);
+        self.word(digest);
+    }
+
+    fn finish(mut self, mem: &Mem) -> u64 {
+        self.word(mem.write_seq());
+        self.word(mem.nx as u64);
+        self.0
+    }
 }
 
 /// Deterministic digest of a full address-space image: page numbers,
@@ -39,25 +107,15 @@ pub fn page_digest(page: &Page) -> u64 {
 /// and the NX flag. Two `Mem`s with equal digests are observably
 /// identical to the guest *and* to the generation-keyed caches above it.
 pub fn mem_digest(mem: &Mem) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut fold = ImageFold::new();
     for (pno, gen) in mem.page_table() {
-        fold(pno as u64);
-        fold(gen);
-        fold(page_digest_bytes(mem.page_bytes(pno).expect("mapped")));
+        fold.page(
+            pno,
+            gen,
+            page_digest_bytes(mem.page_bytes(pno).expect("mapped")),
+        );
     }
-    fold(mem.write_seq());
-    fold(mem.nx as u64);
-    h
-}
-
-fn page_digest_bytes(bytes: &[u8; PAGE_SIZE]) -> u64 {
-    fnv1a(&bytes[..])
+    fold.finish(mem)
 }
 
 /// A key into the [`DedupeStore`] (derived from the page's content hash,
@@ -144,6 +202,21 @@ impl DedupeStore {
         self.slots.get(&key.0).map(|s| Arc::clone(&s.data))
     }
 
+    /// Content digest of the page behind `key` (computed once, when the
+    /// page was interned), if the slot is still live.
+    pub(crate) fn digest(&self, key: PageKey) -> Option<u64> {
+        self.slots.get(&key.0).map(|s| s.digest)
+    }
+
+    /// Add a reference to a live slot for an entry inherited from a
+    /// previous table; returns the slot's digest (`None` if the chaos
+    /// seam evicted it).
+    fn bump(&mut self, key: PageKey) -> Option<u64> {
+        let slot = self.slots.get_mut(&key.0)?;
+        slot.refs += 1;
+        Some(slot.digest)
+    }
+
     /// Release one reference to `key`, compacting the slot when the last
     /// reference drops.
     pub fn release(&mut self, key: PageKey) {
@@ -216,37 +289,47 @@ impl DeltaRecord {
     ) -> DeltaRecord {
         let mut pages = BTreeMap::new();
         let mut delta_len = 0usize;
+        let mut fold = ImageFold::new();
         for (pno, gen) in m.mem.page_table() {
             // Prefer, in order: a pending drained capture at the live
             // generation, the previous record's entry at the live
             // generation, else intern fresh. Equal generations guarantee
             // identical bytes (the write-gen ladder contract).
-            let entry = match pending.get(&pno) {
-                Some(&(key, g)) if g == gen => {
-                    store_bump(store, key);
-                    (key, g)
+            let inherited = [pending.get(&pno), prev.get(&pno)]
+                .into_iter()
+                .flatten()
+                .find(|&&(_, g)| g == gen)
+                .map(|&(key, _)| key);
+            let (key, digest) = match inherited {
+                Some(key) => {
+                    // A slot the chaos seam evicted has no digest left:
+                    // hash the live bytes so the record still carries
+                    // the true image digest (its materialize fails
+                    // closed on the missing slot).
+                    let digest = store.bump(key).unwrap_or_else(|| {
+                        page_digest_bytes(m.mem.page_bytes(pno).expect("mapped"))
+                    });
+                    (key, digest)
                 }
-                _ => match prev.get(&pno) {
-                    Some(&(key, g)) if g == gen => {
-                        store_bump(store, key);
-                        (key, g)
-                    }
-                    _ => {
-                        let (arc, g) = m.mem.page_arc(pno).expect("mapped");
-                        delta_len += 1;
-                        (store.intern(arc), g)
-                    }
-                },
+                None => {
+                    let (arc, _) = m.mem.page_arc(pno).expect("mapped");
+                    delta_len += 1;
+                    let key = store.intern(arc);
+                    (key, store.digest(key).expect("just interned"))
+                }
             };
-            pages.insert(pno, entry);
+            fold.page(pno, gen, digest);
+            pages.insert(pno, (key, gen));
         }
+        let image_digest = fold.finish(&m.mem);
+        debug_assert_eq!(image_digest, mem_digest(&m.mem), "slot digests drifted");
         let mut meta = m.clone();
         meta.mem = m.mem.skeleton();
         DeltaRecord {
             meta,
             pages,
             delta_len,
-            image_digest: mem_digest(&m.mem),
+            image_digest,
         }
     }
 
@@ -309,13 +392,6 @@ impl DeltaRecord {
     }
 }
 
-/// Bump a slot's refcount for an entry inherited from a previous table.
-fn store_bump(store: &mut DedupeStore, key: PageKey) {
-    if let Some(slot) = store.slots.get_mut(&key.0) {
-        slot.refs += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,6 +401,36 @@ mod tests {
         p.0[0] = b;
         p.0[PAGE_SIZE - 1] = b.wrapping_mul(3);
         Arc::new(p)
+    }
+
+    #[test]
+    fn zero_page_constant_is_fnv1a_of_a_zeroed_page() {
+        let zero = Page::zeroed();
+        assert_eq!(ZERO_PAGE_DIGEST, fnv1a(&zero.0[..]));
+        assert_eq!(page_digest(&zero), ZERO_PAGE_DIGEST);
+    }
+
+    #[test]
+    fn a_last_byte_write_leaves_the_zero_path() {
+        let mut p = Page::zeroed();
+        p.0[PAGE_SIZE - 1] = 1;
+        assert_ne!(page_digest(&p), ZERO_PAGE_DIGEST);
+        assert_eq!(page_digest(&p), fnv1a(&p.0[..]));
+    }
+
+    /// Store keys derive from page digests (and `chaos_evict_one` picks
+    /// the smallest key), so the digest values themselves are pinned.
+    #[test]
+    fn page_digest_golden_values() {
+        let mut last = Page::zeroed();
+        last.0[PAGE_SIZE - 1] = 1;
+        let mut pattern = Page::zeroed();
+        for (i, b) in pattern.0.iter_mut().enumerate() {
+            *b = (i * 31 % 251) as u8;
+        }
+        assert_eq!(page_digest(&Page::zeroed()), 0xb93a_0c83_ce3b_6325);
+        assert_eq!(page_digest(&last), 0xb93a_0b83_ce3b_6172);
+        assert_eq!(page_digest(&pattern), 0x0798_80fe_55db_c518);
     }
 
     #[test]
@@ -407,5 +513,21 @@ mod tests {
         let mut rec2 = DeltaRecord::capture(&m, &mut store2, &empty, &empty);
         assert!(rec2.chaos_truncate(&mut store2, 2) > 0);
         assert!(rec2.materialize(&store2).is_none(), "fails closed");
+    }
+
+    #[test]
+    fn capture_over_an_evicted_slot_keeps_the_true_digest() {
+        use svm::loader::Aslr;
+        let prog = svm::asm::assemble(".text\nmain:\n halt\n").expect("asm");
+        let m = Machine::boot(&prog, Aslr::off()).expect("boot");
+        let mut store = DedupeStore::new();
+        let empty = BTreeMap::new();
+        let base = DeltaRecord::capture(&m, &mut store, &empty, &empty);
+        store.chaos_evict_one().expect("live slot");
+        // Every entry is inherited; one of them has lost its slot.
+        let next = DeltaRecord::capture(&m, &mut store, base.pages(), &empty);
+        assert_eq!(next.delta_len, 0);
+        assert_eq!(next.image_digest(), mem_digest(&m.mem));
+        assert!(next.materialize(&store).is_none(), "fails closed");
     }
 }

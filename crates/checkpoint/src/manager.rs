@@ -232,8 +232,10 @@ impl CheckpointManager {
     /// lets [`DeltaRecord::capture`] reuse a pending page holds only
     /// within one forward execution; folding a pre-rollback drain into
     /// a post-rollback delta leaks stale page content into the next
-    /// snapshot (caught as a materialize digest mismatch, degrading
-    /// recovery to a restart for no reason). Releases every held store
+    /// snapshot. The capture's image digest folds the stale slot's
+    /// digest, so materialize cannot catch the leak — only the
+    /// differential engine's full-copy oracle and the capture's debug
+    /// check against the live image can. Releases every held store
     /// reference and rewinds the coverage watermark so the next drain
     /// or capture rescans from the snapshot's own generation floor.
     pub fn discard_pending(&mut self) {

@@ -488,8 +488,7 @@ impl Sweeper {
             self.sync_time();
             self.timeline.record(Event::Checkpoint { id: id.0 });
         }
-        let sig_holder = self.signatures.clone();
-        let filter = SigFilter(&sig_holder);
+        let filter = SigFilter(&self.signatures);
         let (log_id, delivered) =
             self.proxy
                 .offer(&mut self.machine, input, &[&filter as &dyn InputFilter]);

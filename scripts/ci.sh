@@ -15,6 +15,9 @@
 #   no-unsafe    grep gate: the workspace stays `unsafe`-free
 #                (DESIGN.md §7) — belt-and-braces on top of the
 #                workspace-level `unsafe_code = "forbid"` lint
+#   workspace-tests  every crate's own tests in release
+#                (`cargo test --workspace --release`): the in-crate unit
+#                and integration tests tier 1's root-package run skips
 #   chaos-seeds  quarantined-seed replay: every seed in
 #                tests/chaos_known_seeds.txt re-runs BEFORE the random
 #                smoke, so once-interesting fault mixes stay covered
@@ -45,6 +48,10 @@
 #                I12 violations, and a Domain outbreak p999 strictly
 #                below Full's (the binary itself asserts all four
 #                gates before writing)
+#   perfbench-smoke  the wall-clock benchmark's own smoke tests at
+#                `--size smoke` (perfbench/ is a separate Cargo
+#                workspace): every workload runs and its output checks
+#                pass
 #   fig9dist     distnet sweep smoke (non-failing)
 #
 # Run from anywhere; works offline — all dependencies are in-tree.
@@ -119,6 +126,10 @@ stage_no_unsafe() {
         return 1
     fi
     echo "workspace is unsafe-free"
+}
+
+stage_workspace_tests() {
+    cargo test --workspace --release -q
 }
 
 stage_chaos_seeds() {
@@ -239,6 +250,10 @@ stage_recovery_smoke() {
     echo "schema-v9 recovery block present, I12 clean, parity holds, domain p999 $domain_p999 < full $full_p999 ms"
 }
 
+stage_perfbench_smoke() {
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+}
+
 stage_fig9dist() {
     if cargo run --release -p bench --bin tables -- fig9dist --hosts=1000; then
         echo "fig9dist sweep ok"
@@ -250,6 +265,7 @@ stage_fig9dist() {
 run_stage tier1 stage_tier1
 run_stage clippy stage_clippy
 run_stage no-unsafe stage_no_unsafe
+run_stage workspace-tests stage_workspace_tests
 run_stage chaos-seeds stage_chaos_seeds
 run_stage chaos-smoke stage_chaos_smoke
 run_stage sbparity stage_sbparity
@@ -258,6 +274,7 @@ run_stage bench-smoke stage_bench_smoke
 run_stage fleet-smoke stage_fleet_smoke
 run_stage epidemic-smoke stage_epidemic_smoke
 run_stage recovery-smoke stage_recovery_smoke
+run_stage perfbench-smoke stage_perfbench_smoke
 run_stage fig9dist stage_fig9dist
 
 if [ "$RAN" -eq 0 ]; then

@@ -12,6 +12,11 @@
 //! delta chain dropped a dirty page, the dedupe store returned the
 //! wrong content for a key, or the drain folded a stale generation.
 //!
+//! A capture folds the dedupe store's per-slot digests instead of
+//! re-hashing the live machine; the four guests pin that this image
+//! digest still equals `mem_digest` of the captured image (and that the
+//! digest values themselves did not move).
+//!
 //! Two deterministic companions pin the fail-closed paths the chaos
 //! harness relies on: a truncated delta chain and an evicted dedupe
 //! slot must turn materialization into `None` (counted as a
@@ -20,7 +25,10 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sweeper_repro::checkpoint::{mem_digest, CheckpointManager, Engine};
+use std::collections::BTreeMap;
+
+use sweeper_repro::apps::all_apps;
+use sweeper_repro::checkpoint::{mem_digest, CheckpointManager, DedupeStore, DeltaRecord, Engine};
 use sweeper_repro::svm::asm::assemble;
 use sweeper_repro::svm::loader::Aslr;
 use sweeper_repro::svm::{Machine, NopHook};
@@ -326,4 +334,100 @@ fn dedupe_store_eviction_fails_closed() {
         0,
         "fail closed is not a parity mismatch"
     );
+}
+
+/// Host-write `salt` into every seventh mapped page (turning zero pages
+/// non-zero), and zero the first non-zero page outright, so captures
+/// cross the zero-page digest short cut in both directions.
+fn scribble(m: &mut Machine, salt: u8) {
+    let pages: Vec<u32> = m.mem.page_table().map(|(pno, _)| pno).collect();
+    for &pno in pages.iter().skip(usize::from(salt)).step_by(7) {
+        let addr = pno * 4096 + 64 * u32::from(salt);
+        m.mem.write_bytes_host(addr, &[salt; 8]).expect("patch");
+    }
+    let busy = pages
+        .iter()
+        .copied()
+        .find(|&pno| {
+            m.mem
+                .page_bytes(pno)
+                .expect("mapped")
+                .iter()
+                .any(|&b| b != 0)
+        })
+        .expect("an image has a non-zero page");
+    m.mem
+        .write_bytes_host(busy * 4096, &[0u8; 4096])
+        .expect("zero page");
+}
+
+/// The latest checkpoint rebuilds the live machine. `materialize`
+/// returns `Some` only when `mem_digest` of the rebuilt image equals the
+/// digest the capture recorded, so this pins the capture's digest to
+/// `mem_digest` of the live image it was taken from.
+fn assert_latest_reproduces(mgr: &CheckpointManager, m: &Machine, what: &str) {
+    let id = mgr.latest().expect("a checkpoint was taken").id;
+    let rebuilt = mgr
+        .materialize(id)
+        .unwrap_or_else(|| panic!("{what}: capture digest disagrees with its image"));
+    assert_eq!(mem_digest(&rebuilt.mem), mem_digest(&m.mem), "{what}");
+    assert_eq!(mgr.parity_mismatches(), 0, "{what}: full-copy oracle");
+}
+
+/// A capture's image digest equals `mem_digest` of the captured machine
+/// for every guest: at boot, after a pre-copy drain, and after a domain
+/// rollback (the runtime's post-recovery snapshot).
+#[test]
+fn capture_digest_equals_mem_digest_on_every_guest() {
+    for app in all_apps().expect("apps") {
+        let name = app.name;
+        let mut m = Machine::boot(&app.program, Aslr::off()).expect("boot");
+        let mut store = DedupeStore::new();
+        let empty = BTreeMap::new();
+        let boot = DeltaRecord::capture(&m, &mut store, &empty, &empty);
+        assert_eq!(boot.image_digest(), mem_digest(&m.mem), "{name}: boot");
+
+        let mut mgr = CheckpointManager::new(u64::MAX, 4).with_engine(Engine::Differential);
+        let base = mgr.take(&mut m);
+        assert_latest_reproduces(&mgr, &m, &format!("{name}: base"));
+
+        // Benign connection 0 writes, completes and is drained; more
+        // writes land after the drain, then a snapshot folds both.
+        scribble(&mut m, 1);
+        mgr.note_service(&m, 0);
+        assert!(mgr.drain(&m) > 0, "{name}: the drain captured pages");
+        scribble(&mut m, 2);
+        mgr.take(&mut m);
+        assert_latest_reproduces(&mgr, &m, &format!("{name}: after drain"));
+
+        // A fresh window: benign service, drain, then an attack on
+        // connection 1 rolled back on its own domain, then the
+        // runtime's post-recovery sequence.
+        let window = mgr.latest().expect("taken").id;
+        assert_ne!(window, base);
+        scribble(&mut m, 3);
+        mgr.note_service(&m, 0);
+        mgr.drain(&m);
+        scribble(&mut m, 4);
+        mgr.note_attack(&m, 1);
+        let rec = mgr
+            .rollback_domain(window, &mut m, &[1])
+            .unwrap_or_else(|e| panic!("{name}: partial rollback refused: {e:?}"));
+        assert!(rec.pages_restored > 0, "{name}: attack pages restored");
+        mgr.discard_pending();
+        mgr.take(&mut m);
+        assert_latest_reproduces(&mgr, &m, &format!("{name}: after domain rollback"));
+        assert_eq!(mgr.materialize_failures(), 0, "{name}");
+    }
+}
+
+/// Store keys derive from page digests, so image and page digests are
+/// pinned to the values recorded before capture switched to folding
+/// slot digests.
+#[test]
+fn boot_image_digest_golden_value() {
+    let app = sweeper_repro::apps::httpd1::app().expect("app");
+    let m = Machine::boot(&app.program, Aslr::off()).expect("boot");
+    assert_eq!(m.mem.mapped_pages(), 292);
+    assert_eq!(mem_digest(&m.mem), 0x2998_c03b_92ca_0960);
 }
