@@ -2,7 +2,12 @@
 //!
 //! Usage: `tables [table1|table2|table3|fig4|fig5|fig6|fig7|fig8|vsef|endtoend|ablation|rho|nx|community|vigilante|all]`
 //!
-//! Community-engine (sharded agent model) extras, not part of `all`:
+//! Community-engine (sharded agent model) extras, not part of `all`.
+//! Every subcommand accepts the flags `--hosts=N --shards=K --seed=S
+//! --requests=N --out=F --full` and uses the ones listed below; an
+//! unknown flag exits 2 and lists the known ones. A subcommand that
+//! writes JSON writes `--out` (default `target/bench.json`), so a
+//! committed `BENCH_pr<N>.json` snapshot always names its file.
 //!
 //! * `fig6mc|fig7mc|fig8mc [--hosts=N] [--shards=K] [--seed=S]` — the
 //!   same figures regenerated by the discrete-tick community engine
@@ -14,7 +19,7 @@
 //!   K = 4 shards for the same run, verifying identical outcomes. On a
 //!   single-core host the wall-clock ratio is meaningless, so the line is
 //!   marked `SKIPPED (1 core)` (still exit 0); either way the measured
-//!   numbers are recorded in the bench JSON (default `BENCH_pr5.json`).
+//!   numbers are recorded in the bench JSON.
 //! * `benchjson [--hosts=N] [--seed=S] [--out=F]` — quick fixed-iteration
 //!   perf snapshot: interpreter insns/sec on all three execution tiers
 //!   (interpreter / icache / icache + superblocks, tight-loop and
@@ -22,18 +27,17 @@
 //!   K = 4, the chaos differential sweep (skipped with an explicit
 //!   marker on 1-core hosts), plus the `fig9dist` distribution-network
 //!   sweep and the `ckptcadence` checkpoint-overhead sweep — written
-//!   machine-readably to `--out` (default `BENCH_pr10.json`, schema v9).
-//!   CI runs this as a non-failing smoke step; commit the refreshed
-//!   file when a PR changes performance.
+//!   machine-readably to `--out`. CI gates on the written document
+//!   (not its numbers); commit the refreshed file when a change moves
+//!   performance.
 //! * `fleet [--hosts=N] [--shards=K] [--seed=S] [--out=F] [--full]` —
 //!   the virtual-clock fleet reactor: N guest Sweeper hosts (default
 //!   1000) under open-loop Poisson load with a mid-run worm outbreak,
 //!   reporting fleet-wide p50/p99/p999 benign service latency for the
 //!   outbreak window vs the quiescent baseline. The run executes at 1
 //!   and K reactor shards and asserts bit-equal digests (invariant
-//!   I10). Writes the schema-v9 `"fleet"` block to `--out` (default
-//!   `BENCH_pr10.json`); with `--full` it is attached to a fresh full
-//!   snapshot instead of a fleet-only document.
+//!   I10). Writes the `"fleet"` block to `--out`; with `--full` it is
+//!   attached to a fresh full snapshot instead of a fleet-only document.
 //! * `fleetrecover [--hosts=N] [--shards=K] [--seed=S] [--out=F]
 //!   [--full]` — the Full-vs-Domain recovery comparison on the same
 //!   fleet reactor: the identical outbreak runs once with every
@@ -42,9 +46,9 @@
 //!   mode), plus a `Differential` leg running both in lockstep as a
 //!   recovery oracle. Gates: Domain outbreak p999 strictly below Full,
 //!   zero I12 violations (benign domains undisturbed), differential
-//!   parity, and Domain digests shard-invariant. Writes the schema-v9
-//!   `"recovery"` block to `--out` (default `BENCH_pr10.json`); with
-//!   `--full` it is attached to a fresh full snapshot.
+//!   parity, and Domain digests shard-invariant. Writes the
+//!   `"recovery"` block to `--out`; with `--full` it is attached to a
+//!   fresh full snapshot.
 //! * `fig9fail [--hosts=N] [--seed=S] [--out=F] [--full]` — the
 //!   million-host containment sweep on the struct-of-arrays engine:
 //!   the same scanning worm with no defense, the connection-failure
@@ -52,9 +56,9 @@
 //!   and both. Gates on the 20k-host differential parity run (SoA ↔
 //!   legacy bit-equal at K ∈ {1, 4}, invariant I11) and records the
 //!   antibody-arm per-host tick rate against the PR-5 dense baseline.
-//!   Writes the schema-v9 `"epidemic1m"` block to `--out` (default
-//!   `BENCH_pr10.json`); with `--full` it is attached to a fresh full
-//!   snapshot instead of an epidemic-only document.
+//!   Writes the `"epidemic1m"` block to `--out`; with `--full` it is
+//!   attached to a fresh full snapshot instead of an epidemic-only
+//!   document.
 //! * `sbparity` — superblock parity smoke: run a benign workload on all
 //!   four guests on every execution tier and require bit-identical
 //!   observable state (CI gate; exits nonzero on divergence).
@@ -77,53 +81,105 @@
 //!   as the `"obs"` block of `BENCH_*.json`).
 
 use apps::{squid, workload::Target};
+use bench::perf::ToJson;
+use bench::PerfReport;
 use bench::{
     attack_timeline, checkpoint_overhead, end_to_end_gamma, table1, table2, table3, vsef_overhead,
 };
 use epidemic::{CommunitySweepConfig, Parallelism};
 use sweeper::Config;
 
-/// Parse `--hosts= / --shards= / --seed=` flags into a sweep config.
-fn community_cfg() -> CommunitySweepConfig {
-    let mut cfg = CommunitySweepConfig::default();
-    for arg in std::env::args().skip(2) {
-        if let Some(v) = arg.strip_prefix("--hosts=") {
-            cfg.hosts = v.parse().expect("--hosts=N");
-        } else if let Some(v) = arg.strip_prefix("--shards=") {
-            cfg.parallelism = Parallelism::Fixed(v.parse().expect("--shards=K"));
-        } else if let Some(v) = arg.strip_prefix("--seed=") {
-            cfg.seed = v.parse().expect("--seed=S");
+/// Every flag a subcommand may take.
+const FLAGS: &str = "--hosts=N --shards=K --seed=S --requests=N --out=F --full";
+
+/// The flags after the subcommand; `None` means the subcommand's
+/// default.
+#[derive(Default)]
+struct Flags {
+    hosts: Option<u64>,
+    shards: Option<usize>,
+    seed: Option<u64>,
+    requests: Option<usize>,
+    out: Option<String>,
+    full: bool,
+}
+
+impl Flags {
+    /// Parse `args`, exiting 2 on an unknown flag or a malformed value.
+    fn parse(args: impl Iterator<Item = String>) -> Flags {
+        let mut f = Flags::default();
+        for arg in args {
+            match arg.split_once('=') {
+                Some(("--hosts", v)) => f.hosts = Some(value(&arg, v)),
+                Some(("--shards", v)) => f.shards = Some(value(&arg, v)),
+                Some(("--seed", v)) => f.seed = Some(value(&arg, v)),
+                Some(("--requests", v)) => f.requests = Some(value(&arg, v)),
+                Some(("--out", v)) => f.out = Some(v.to_string()),
+                None if arg == "--full" => f.full = true,
+                _ => usage_error(&format!("unknown flag '{arg}'"), "flags", FLAGS),
+            }
+        }
+        f
+    }
+
+    /// The community-engine sweep config, with `default_hosts` unless
+    /// `--hosts` is given.
+    fn community(&self, default_hosts: u64) -> CommunitySweepConfig {
+        let d = CommunitySweepConfig::default();
+        CommunitySweepConfig {
+            hosts: self.hosts.unwrap_or(default_hosts),
+            seed: self.seed.unwrap_or(d.seed),
+            parallelism: self.shards.map_or(d.parallelism, Parallelism::Fixed),
+            ..d
         }
     }
-    cfg
-}
 
-/// Like [`community_cfg`], but with a different default host count used
-/// when no `--hosts=` flag is given (the large-run subcommands).
-fn community_cfg_or(default_hosts: u64) -> CommunitySweepConfig {
-    let mut cfg = community_cfg();
-    if !std::env::args().skip(2).any(|a| a.starts_with("--hosts=")) {
-        cfg.hosts = default_hosts;
+    /// The seed of the fleet and `fig9fail` runs, 7 by default.
+    fn run_seed(&self) -> u64 {
+        self.seed.unwrap_or(7)
     }
-    cfg
+
+    /// The fleet reactor config: 1000 hosts by default.
+    fn fleet(&self) -> fleet::FleetConfig {
+        let hosts = u32::try_from(self.hosts.unwrap_or(1000)).expect("--hosts fits in u32");
+        fleet::FleetConfig::new(hosts, self.run_seed())
+    }
+
+    /// Write `doc` to `--out`, creating its directory.
+    fn write(&self, doc: &str) {
+        let path = std::path::Path::new(self.out.as_deref().unwrap_or("target/bench.json"));
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir).expect("create --out directory");
+        }
+        std::fs::write(path, doc).expect("write bench json");
+        println!("wrote {}", path.display());
+    }
+
+    /// Write `block` under `key`: alone in a partial document, or with
+    /// `--full` put in place by `attach` on a fresh full snapshot.
+    fn write_block<B: ToJson>(&self, key: &'static str, block: B, attach: fn(&mut PerfReport, B)) {
+        if self.full {
+            let mut r = bench::measure(20_000, self.run_seed(), 100_000);
+            attach(&mut r, block);
+            self.write(&r.to_json());
+        } else {
+            self.write(&bench::perf::document(vec![(key, block.to_json())]));
+        }
+    }
 }
 
-/// Parse `--out=` (bench JSON path), defaulting to `BENCH_pr10.json`.
-fn out_path() -> String {
-    std::env::args()
-        .skip(2)
-        .find_map(|a| a.strip_prefix("--out=").map(str::to_string))
-        .unwrap_or_else(|| "BENCH_pr10.json".to_string())
+/// Parse the value `v` of the flag `arg`, exiting 2 when malformed.
+fn value<T: std::str::FromStr>(arg: &str, v: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| usage_error(&format!("bad value in '{arg}'"), "flags", FLAGS))
 }
 
-/// Run the quick perf pass and write the bench JSON; shared by the
-/// `benchjson` and `speedup` subcommands.
-fn write_bench_json(hosts: u64, seed: u64) -> bench::PerfReport {
-    let report = bench::measure(hosts, seed, 100_000);
-    let path = out_path();
-    bench::perf::write_json(&path, &report).expect("write bench json");
-    println!("wrote {path}");
-    report
+/// Report a command-line mistake and the `known` alternatives, then
+/// exit 2.
+fn usage_error(msg: &str, kind: &str, known: &str) -> ! {
+    eprintln!("tables: {msg}");
+    eprintln!("known {kind}: {known}");
+    std::process::exit(2);
 }
 
 /// Every subcommand `main` dispatches on, in dispatch order.
@@ -164,10 +220,10 @@ const SUBCOMMANDS: &[&str] = &[
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
     if !SUBCOMMANDS.contains(&which.as_str()) {
-        eprintln!("tables: unknown subcommand '{which}'");
-        eprintln!("known subcommands: {}", SUBCOMMANDS.join(" "));
-        std::process::exit(2);
+        let msg = format!("unknown subcommand '{which}'");
+        usage_error(&msg, "subcommands", &SUBCOMMANDS.join(" "));
     }
+    let flags = Flags::parse(std::env::args().skip(2));
     let all = which == "all";
     if all || which == "table1" {
         println!("{}", table1());
@@ -193,102 +249,66 @@ fn main() {
     if all || which == "fig8" {
         println!("{}", epidemic::figure8().render());
     }
+    let mc_cfg = || flags.community(CommunitySweepConfig::default().hosts);
     if which == "fig6mc" {
-        println!("{}", epidemic::figure6_community(&community_cfg()).render());
+        println!("{}", epidemic::figure6_community(&mc_cfg()).render());
     }
     if which == "fig7mc" {
-        println!("{}", epidemic::figure7_community(&community_cfg()).render());
+        println!("{}", epidemic::figure7_community(&mc_cfg()).render());
     }
     if which == "fig8mc" {
-        println!("{}", epidemic::figure8_community(&community_cfg()).render());
+        println!("{}", epidemic::figure8_community(&mc_cfg()).render());
     }
     if which == "shards" {
-        let cfg = community_cfg_or(100_000);
+        let cfg = flags.community(100_000);
         let (outcome, secs) = bench::model_campaign(cfg.hosts, cfg.parallelism, cfg.seed);
         println!("Figure-7-style run, sharded community engine:");
         println!("{}", outcome.shard_report());
         println!("wall-clock: {secs:.3} s\n");
     }
     if which == "speedup" {
-        let cfg = community_cfg_or(100_000);
-        let r = write_bench_json(cfg.hosts, cfg.seed);
+        let cfg = flags.community(100_000);
+        let r = bench::measure(cfg.hosts, cfg.seed, 100_000);
+        flags.write(&r.to_json());
+        let c = &r.community;
         assert!(
-            r.outcomes_identical,
+            c.outcomes_identical,
             "shard counts must not change the outcome"
         );
-        let (t1, t4) = (r.k1.wall_secs, r.k4.wall_secs);
+        let (t1, t4) = (c.k1.wall_secs, c.k4.wall_secs);
         if r.cores <= 1 {
             println!(
                 "speedup: SKIPPED (1 core) — K=1 {t1:.3} s vs K=4 {t4:.3} s recorded; \
                  wall-clock ratio needs >1 core (outcomes bit-identical, {} hosts infected)\n",
-                r.k1.infected,
+                c.k1.infected,
             );
         } else {
             println!(
                 "speedup: K=1 {t1:.3} s vs K=4 {t4:.3} s -> {:.2}x (outcomes bit-identical, {} hosts infected)\n",
-                r.community_speedup, r.k1.infected,
+                c.k1_over_k4, c.k1.infected,
             );
         }
     }
     if which == "benchjson" {
-        let cfg = community_cfg_or(20_000);
-        let r = write_bench_json(cfg.hosts, cfg.seed);
+        let cfg = flags.community(20_000);
+        let r = bench::measure(cfg.hosts, cfg.seed, 100_000);
+        flags.write(&r.to_json());
         println!("{}\n", r.render());
     }
     if which == "fleet" {
-        let mut hosts: u32 = 1000;
-        let mut shards: usize = 2;
-        let mut seed: u64 = 7;
-        let mut full = false;
-        for arg in std::env::args().skip(2) {
-            if let Some(v) = arg.strip_prefix("--hosts=") {
-                hosts = v.parse().expect("--hosts=N");
-            } else if let Some(v) = arg.strip_prefix("--shards=") {
-                shards = v.parse().expect("--shards=K");
-            } else if let Some(v) = arg.strip_prefix("--seed=") {
-                seed = v.parse().expect("--seed=S");
-            } else if arg == "--full" {
-                full = true;
-            }
-        }
-        let cfg = fleet::FleetConfig::new(hosts, seed);
-        let block = bench::perf::fleet_block(&cfg, shards).expect("fleet run");
+        let cfg = flags.fleet();
+        let block = bench::perf::fleet_block(&cfg, flags.shards.unwrap_or(2)).expect("fleet run");
         assert!(
             block.shard_invariant,
             "reactor shard count changed the outcome digest (invariant I10)"
         );
         println!("{}\n", bench::perf::render_fleet_block(&block));
-        let path = out_path();
-        if full {
-            // Attach the fleet block to a fresh full snapshot — the
-            // committed-BENCH_pr8.json path.
-            let mut r = bench::measure(20_000, seed, 100_000);
-            r.fleet = Some(block);
-            bench::perf::write_json(&path, &r).expect("write bench json");
-        } else {
-            // Fleet-only document — the fast CI `fleet-smoke` path.
-            bench::perf::write_fleet_json(&path, &block).expect("write fleet json");
-        }
-        println!("wrote {path}");
+        flags.write_block("fleet", block, |r, b| r.fleet = Some(b));
     }
     if which == "fleetrecover" {
-        let mut hosts: u32 = 1000;
-        let mut shards: usize = 2;
-        let mut seed: u64 = 7;
-        let mut full = false;
-        for arg in std::env::args().skip(2) {
-            if let Some(v) = arg.strip_prefix("--hosts=") {
-                hosts = v.parse().expect("--hosts=N");
-            } else if let Some(v) = arg.strip_prefix("--shards=") {
-                shards = v.parse().expect("--shards=K");
-            } else if let Some(v) = arg.strip_prefix("--seed=") {
-                seed = v.parse().expect("--seed=S");
-            } else if arg == "--full" {
-                full = true;
-            }
-        }
-        let cfg = fleet::FleetConfig::new(hosts, seed);
-        let block = bench::perf::recovery_block(&cfg, shards).expect("fleet run");
+        let cfg = flags.fleet();
+        let block =
+            bench::perf::recovery_block(&cfg, flags.shards.unwrap_or(2)).expect("fleet run");
         assert!(
             block.shard_invariant,
             "reactor shard count changed the Domain recovery digest (invariant I10)"
@@ -307,18 +327,7 @@ fn main() {
             block.p999_ratio
         );
         println!("{}\n", bench::perf::render_recovery_block(&block));
-        let path = out_path();
-        if full {
-            // Attach the recovery block to a fresh full snapshot — the
-            // committed-BENCH_pr10.json path.
-            let mut r = bench::measure(20_000, seed, 100_000);
-            r.recovery = Some(block);
-            bench::perf::write_json(&path, &r).expect("write bench json");
-        } else {
-            // Recovery-only document — the fast CI `recovery-smoke` path.
-            bench::perf::write_recovery_json(&path, &block).expect("write recovery json");
-        }
-        println!("wrote {path}");
+        flags.write_block("recovery", block, |r, b| r.recovery = Some(b));
     }
     if which == "sbparity" {
         println!("superblock parity smoke (all guests, all execution tiers):");
@@ -335,27 +344,12 @@ fn main() {
         println!("ckptparity: OK\n");
     }
     if which == "ckptcadence" {
-        let requests = std::env::args()
-            .skip(2)
-            .find_map(|a| a.strip_prefix("--requests=").map(str::to_string))
-            .map_or(2000, |v| v.parse().expect("--requests=N"));
-        let block = bench::perf::checkpoint_block(requests);
+        let block = bench::perf::checkpoint_block(flags.requests.unwrap_or(2000));
         println!("{}\n", bench::perf::render_checkpoint_block(&block));
     }
     if which == "fig9fail" {
-        let mut hosts: u64 = 1_000_000;
-        let mut seed: u64 = 7;
-        let mut full = false;
-        for arg in std::env::args().skip(2) {
-            if let Some(v) = arg.strip_prefix("--hosts=") {
-                hosts = v.parse().expect("--hosts=N");
-            } else if let Some(v) = arg.strip_prefix("--seed=") {
-                seed = v.parse().expect("--seed=S");
-            } else if arg == "--full" {
-                full = true;
-            }
-        }
-        let block = bench::perf::epidemic1m_block(hosts, seed);
+        let block =
+            bench::perf::epidemic1m_block(flags.hosts.unwrap_or(1_000_000), flags.run_seed());
         assert!(
             block.soa_parity,
             "SoA and legacy engines diverged under the differential gate (invariant I11)"
@@ -365,21 +359,10 @@ fn main() {
             "shard count changed the parity-gate outcome"
         );
         println!("{}\n", bench::perf::render_epidemic_block(&block));
-        let path = out_path();
-        if full {
-            // Attach the epidemic1m block to a fresh full snapshot —
-            // the committed-BENCH_pr9.json path.
-            let mut r = bench::measure(20_000, seed, 100_000);
-            r.epidemic1m = Some(block);
-            bench::perf::write_json(&path, &r).expect("write bench json");
-        } else {
-            // Epidemic-only document — the fast CI `epidemic-smoke` path.
-            bench::perf::write_epidemic_json(&path, &block).expect("write epidemic json");
-        }
-        println!("wrote {path}");
+        flags.write_block("epidemic1m", block, |r, b| r.epidemic1m = Some(b));
     }
     if which == "fig9dist" {
-        let cfg = community_cfg_or(2_000);
+        let cfg = flags.community(2_000);
         let cells = bench::perf::distnet_sweep(cfg.hosts, cfg.seed);
         println!(
             "{}",

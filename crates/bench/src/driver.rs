@@ -11,6 +11,8 @@ use checkpoint::Engine;
 use svm::clock::cycles_to_secs;
 use sweeper::{Config, RequestOutcome, Sweeper};
 
+use crate::perf::json_struct;
+
 /// Result of one throughput run.
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputRun {
@@ -107,18 +109,20 @@ pub fn checkpoint_overhead_with_engine(
     (ck.secs - base.secs) / base.secs
 }
 
-/// One cell of the `ckptcadence` sweep: service-path overhead of one
-/// snapshot engine at one production cadence.
-#[derive(Debug, Clone)]
-pub struct CadenceCell {
-    /// Engine name (`"full"` or `"incremental"`).
-    pub engine: &'static str,
-    /// Checkpoint interval in virtual milliseconds.
-    pub interval_ms: f64,
-    /// Fractional throughput overhead vs the no-checkpoint baseline.
-    pub overhead: f64,
-    /// Checkpoints taken during the measured run.
-    pub checkpoints: u64,
+json_struct! {
+    /// One cell of the `ckptcadence` sweep: service-path overhead of one
+    /// snapshot engine at one production cadence.
+    #[derive(Debug, Clone)]
+    pub struct CadenceCell {
+        /// Engine name (`"full"` or `"incremental"`).
+        pub engine: &'static str,
+        /// Checkpoint interval in virtual milliseconds.
+        pub interval_ms: f64,
+        /// Fractional throughput overhead vs the no-checkpoint baseline.
+        pub overhead: f64,
+        /// Checkpoints taken during the measured run.
+        pub checkpoints: u64,
+    }
 }
 
 /// The `ckptcadence` sweep: overhead of the full-copy and incremental

@@ -1,15 +1,16 @@
 //! Machine-readable performance snapshots (`BENCH_*.json`).
 //!
-//! CI runs `tables benchjson` as a non-failing smoke step; developers run
-//! it after perf-relevant changes and commit the refreshed
-//! `BENCH_pr<N>.json` so the repository records the performance
-//! trajectory PR by PR. Everything here is a *quick fixed-iteration*
-//! pass — statistically rigorous numbers come from the Criterion
-//! benchmarks (`cargo bench`); this file trades rigor for a cheap,
-//! diff-able snapshot.
+//! `tables benchjson` runs a quick fixed-iteration pass and writes one
+//! snapshot; a change that moves performance commits the refreshed
+//! `BENCH_*.json`, so the repository records the trajectory change by
+//! change. Most figures are virtual-clock model outputs; the few wall-clock
+//! ones are single quick samples. Repeated wall-clock measurements with
+//! their spread come from the `perfbench/` benchmark.
 //!
-//! The JSON is hand-rolled (flat, two levels deep) because the workspace
-//! is offline and dependency-free; see [`PerfReport::to_json`].
+//! One writer prints every document: each block converts to a [`Json`]
+//! key→value list, and [`document`] prints the blocks under the
+//! `SCHEMA` header. The workspace is offline and dependency-free, so
+//! the writer is hand-rolled.
 
 use svm::asm::assemble;
 use svm::clock::insns_per_sec;
@@ -21,13 +22,195 @@ use epidemic::{CommunityEngine, DistNetParams, FailContParams, Parallelism};
 
 use crate::driver::{cadence_sweep, CadenceCell};
 
+/// The schema every `BENCH_*.json` document declares.
+const SCHEMA: &str = "sweeper-bench-v9";
+
+/// A JSON value as the BENCH writer prints it. A scalar is held as its
+/// printed text: the [`ToJson`] impls below own number formatting and
+/// string escaping.
+///
+/// Layout: an object whose values are all scalars prints on one line;
+/// every other object, and every array, prints one entry per line,
+/// indented two spaces per depth.
+#[derive(Debug, Clone)]
+pub enum Json {
+    /// A scalar's printed text, or already-serialized JSON embedded
+    /// verbatim (the `obs` block).
+    Text(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, keys in print order.
+    Obj(Vec<(&'static str, Json)>),
+}
+
+/// Conversion into the writer's [`Json`] value.
+pub trait ToJson {
+    /// `self` as JSON.
+    fn to_json(&self) -> Json;
+}
+
+/// `fields! { "key": value, ... }`: an object's entries in print order.
+macro_rules! fields {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        vec![$(($key, $crate::perf::ToJson::to_json(&$value))),*]
+    };
+}
+
+/// Define a struct whose field names are its JSON keys, in print order,
+/// and derive its [`ToJson`].
+macro_rules! json_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$field_meta:meta])* pub $field:ident: $ty:ty,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$field_meta])* pub $field: $ty,)*
+        }
+
+        impl $crate::perf::ToJson for $name {
+            fn to_json(&self) -> $crate::perf::Json {
+                let fields = vec![$((stringify!($field), $crate::perf::ToJson::to_json(&self.$field))),*];
+                $crate::perf::Json::Obj(fields)
+            }
+        }
+    };
+}
+pub(crate) use json_struct;
+
+/// [`ToJson`] for types whose `Display` text is already JSON.
+macro_rules! display_to_json {
+    ($($ty:ty),*) => {$(
+        impl ToJson for $ty {
+            fn to_json(&self) -> Json {
+                Json::Text(self.to_string())
+            }
+        }
+    )*};
+}
+display_to_json!(bool, u32, u64, usize);
+
+impl ToJson for f64 {
+    /// Six decimals; `null` when non-finite.
+    fn to_json(&self) -> Json {
+        Json::Text(if self.is_finite() {
+            format!("{self:.6}")
+        } else {
+            "null".to_string()
+        })
+    }
+}
+
+impl ToJson for str {
+    fn to_json(&self) -> Json {
+        let escaped = self.replace('\\', "\\\\").replace('"', "\\\"");
+        Json::Text(format!("\"{escaped}\""))
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Json {
+        self.as_str().to_json()
+    }
+}
+
+impl ToJson for Json {
+    fn to_json(&self) -> Json {
+        self.clone()
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref()
+            .map_or(Json::Text("null".to_string()), ToJson::to_json)
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl Json {
+    /// `block` as JSON, or the skip marker naming the `tables`
+    /// subcommand that fills it, so consumers can tell "not run" from
+    /// "silently dropped".
+    fn or_skipped<T: ToJson>(block: &Option<T>, cmd: &str) -> Json {
+        block.as_ref().map_or_else(
+            || Json::Obj(fields! { "status": format!("SKIPPED (run tables {cmd})") }),
+            ToJson::to_json,
+        )
+    }
+
+    fn print(&self, out: &mut String, depth: usize) {
+        match self {
+            Json::Text(text) => out.push_str(text),
+            Json::Obj(fields) if fields.iter().all(|(_, v)| matches!(v, Json::Text(_))) => {
+                out.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    out.push_str(&format!("{sep}\"{key}\": "));
+                    value.print(out, depth);
+                }
+                out.push('}');
+            }
+            Json::Obj(fields) => {
+                print_lines(out, depth, ('{', '}'), fields, |out, (key, value)| {
+                    out.push_str(&format!("\"{key}\": "));
+                    value.print(out, depth + 1);
+                })
+            }
+            Json::Arr(items) => print_lines(out, depth, ('[', ']'), items, |out, item| {
+                item.print(out, depth + 1)
+            }),
+        }
+    }
+}
+
+/// Print `items` one per line between `open` and `close`, indented one
+/// level deeper than `depth`.
+fn print_lines<T>(
+    out: &mut String,
+    depth: usize,
+    (open, close): (char, char),
+    items: &[T],
+    mut entry: impl FnMut(&mut String, &T),
+) {
+    out.push(open);
+    for (i, item) in items.iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&"  ".repeat(depth + 1));
+        entry(out, item);
+    }
+    out.push('\n');
+    out.push_str(&"  ".repeat(depth));
+    out.push(close);
+}
+
+/// Print a whole BENCH document: the `SCHEMA` header, then `blocks`
+/// in order. A partial document is the same call with fewer blocks.
+pub fn document(blocks: Vec<(&'static str, Json)>) -> String {
+    let mut fields = fields! { "schema": SCHEMA };
+    fields.extend(blocks);
+    let mut out = String::new();
+    Json::Obj(fields).print(&mut out, 0);
+    out.push('\n');
+    out
+}
+
 /// One interpreter-throughput measurement (fixed guest, NopHook).
 #[derive(Debug, Clone, Copy)]
 pub struct VmRate {
-    /// Whether the predecoded instruction cache was enabled.
-    pub cached: bool,
-    /// Whether the superblock tier was enabled on top of the icache.
-    pub superblocks: bool,
     /// Instructions retired per run.
     pub insns: u64,
     /// Wall-clock seconds of the fastest rep.
@@ -40,53 +223,132 @@ pub struct VmRate {
     pub sb_stats: SbStats,
 }
 
-/// One community-engine run at a fixed shard count.
-#[derive(Debug, Clone)]
-pub struct CommunityRate {
-    /// Shard count (K).
-    pub shards: usize,
-    /// Wall-clock seconds for the whole campaign.
-    pub wall_secs: f64,
-    /// Ticks simulated.
-    pub ticks: u64,
-    /// `ticks / wall_secs`.
-    pub ticks_per_sec: f64,
-    /// Hosts infected at the end (outcome fingerprint).
-    pub infected: u64,
-    /// Tick of first producer contact (outcome fingerprint).
-    pub t0_tick: Option<u64>,
-    /// Hash-like fingerprint of the infection curve (outcome equality).
-    pub curve_sum: u64,
+impl ToJson for VmRate {
+    fn to_json(&self) -> Json {
+        Json::Obj(fields! {
+            "insns": self.insns,
+            "wall_secs": self.wall_secs,
+            "insns_per_sec": self.insns_per_sec,
+            "cache_hits": self.stats.hits,
+            "cache_misses": self.stats.misses,
+            "cache_invalidations": self.stats.invalidations,
+            "sb_dispatches": self.sb_stats.dispatches,
+            "sb_insns": self.sb_stats.insns,
+            "sb_bailouts": self.sb_stats.bailouts,
+        })
+    }
 }
 
-/// One cell of the `fig9dist` containment-vs-loss/Byzantine sweep: a
-/// contained outbreak run with the antibody distribution network over a
-/// wire with the given loss probability and Byzantine producer fraction.
-#[derive(Debug, Clone)]
-pub struct DistNetCell {
-    /// Per-transmission loss probability.
-    pub loss: f64,
-    /// Byzantine producer fraction.
-    pub byzantine: f64,
-    /// Hosts infected when the run ended (containment axis).
-    pub infected: u64,
-    /// Consumers protected by a verified bundle when the run ended.
-    pub protected: u64,
-    /// Emergent γ: ticks from first producer contact to full community
-    /// protection (`None` if protection never completed).
-    pub gamma_effective: Option<u64>,
-    /// Ticks simulated.
-    pub ticks: u64,
-    /// Bundles that passed verify-before-deploy.
-    pub verified: u64,
-    /// Bundles rejected by verification (Byzantine forgeries).
-    pub rejected: u64,
-    /// `(consumer, producer)` quarantine events.
-    pub quarantines: u64,
-    /// Consumers that exhausted their retry budget.
-    pub gave_up: u64,
-    /// I8 counter: unverified deployments (must be 0 in every cell).
-    pub deployed_unverified: u64,
+json_struct! {
+    /// One guest measured on all three execution tiers (the `"vm"` and
+    /// `"vm_straight"` blocks).
+    #[derive(Debug, Clone)]
+    pub struct VmBlock {
+        /// Instructions retired per rep (identical on every tier).
+        pub loop_insns: u64,
+        /// Pure interpreter.
+        pub uncached: VmRate,
+        /// Predecoded icache only.
+        pub cached: VmRate,
+        /// Full stack: icache + superblock tier.
+        pub superblock: VmRate,
+        /// `cached.insns_per_sec / uncached.insns_per_sec`.
+        pub cached_over_uncached: f64,
+        /// `superblock.insns_per_sec / cached.insns_per_sec`.
+        pub superblock_over_cached: f64,
+    }
+}
+
+json_struct! {
+    /// One community-engine run at a fixed shard count.
+    #[derive(Debug, Clone)]
+    pub struct CommunityRate {
+        /// Shard count (K).
+        pub shards: usize,
+        /// Wall-clock seconds for the whole campaign.
+        pub wall_secs: f64,
+        /// Ticks simulated.
+        pub ticks: u64,
+        /// `ticks / wall_secs`.
+        pub ticks_per_sec: f64,
+        /// Hosts infected at the end (outcome fingerprint).
+        pub infected: u64,
+        /// Tick of first producer contact (outcome fingerprint).
+        pub t0_tick: Option<u64>,
+        /// FNV-style fingerprint of the infection curve (outcome equality).
+        pub curve_fnv: u64,
+    }
+}
+
+json_struct! {
+    /// The community engine at K = 1 vs K = 4 (the `"community"` block).
+    #[derive(Debug, Clone)]
+    pub struct CommunityBlock {
+        /// Community hosts.
+        pub hosts: u64,
+        /// Run seed.
+        pub seed: u64,
+        /// The run at K = 1.
+        pub k1: CommunityRate,
+        /// The run at K = 4.
+        pub k4: CommunityRate,
+        /// `k1.wall_secs / k4.wall_secs`.
+        pub k1_over_k4: f64,
+        /// Whether K = 1 and K = 4 produced bit-identical outcomes.
+        pub outcomes_identical: bool,
+        /// `"ok"`, or `"SKIPPED (1 core)"` when the wall-clock ratio is
+        /// meaningless because the host cannot run shards in parallel.
+        pub speedup_status: String,
+    }
+}
+
+json_struct! {
+    /// One cell of the `fig9dist` containment-vs-loss/Byzantine sweep: a
+    /// contained outbreak run with the antibody distribution network over a
+    /// wire with the given loss probability and Byzantine producer fraction.
+    #[derive(Debug, Clone)]
+    pub struct DistNetCell {
+        /// Per-transmission loss probability.
+        pub loss: f64,
+        /// Byzantine producer fraction.
+        pub byzantine: f64,
+        /// Hosts infected when the run ended (containment axis).
+        pub infected: u64,
+        /// Consumers protected by a verified bundle when the run ended.
+        pub protected: u64,
+        /// Emergent γ: ticks from first producer contact to full community
+        /// protection (`None` if protection never completed).
+        pub gamma_effective: Option<u64>,
+        /// Ticks simulated.
+        pub ticks: u64,
+        /// Bundles that passed verify-before-deploy.
+        pub verified: u64,
+        /// Bundles rejected by verification (Byzantine forgeries).
+        pub rejected: u64,
+        /// `(consumer, producer)` quarantine events.
+        pub quarantines: u64,
+        /// Consumers that exhausted their retry budget.
+        pub gave_up: u64,
+        /// I8 counter: unverified deployments (must be 0 in every cell).
+        pub deployed_unverified: u64,
+    }
+}
+
+json_struct! {
+    /// The `fig9dist` sweep as recorded in the `"distnet"` block.
+    #[derive(Debug, Clone)]
+    pub struct DistNetBlock {
+        /// `"ok"` always today (the sweep runs single-shard), but emitted
+        /// explicitly so consumers never have to infer presence.
+        pub status: String,
+        /// Hosts of the sweep (capped so it stays a quick pass even when
+        /// the community `hosts` is large).
+        pub hosts: u64,
+        /// Run seed.
+        pub seed: u64,
+        /// The loss × Byzantine-fraction cells.
+        pub cells: Vec<DistNetCell>,
+    }
 }
 
 /// The community parameters for one `fig9dist` cell: a contained
@@ -182,48 +444,52 @@ pub fn render_distnet_sweep(hosts: u64, seed: u64, cells: &[DistNetCell]) -> Str
     s
 }
 
-/// The quick chaos differential sweep recorded in the `"chaos"` block,
-/// or its explicit skip marker.
-///
-/// The sweep is skipped on 1-core containers (its wall-secs figure is
-/// meaningless there, matching the community `speedup_status`
-/// convention) — but the block is **always emitted**. Silently dropping
-/// it left `BENCH_*.json` consumers unable to tell "sweep clean" from
-/// "sweep never ran"; the explicit `"SKIPPED (1 core)"` marker is the
-/// fix.
-#[derive(Debug, Clone, Default)]
-pub struct ChaosSweep {
-    /// `"ok"` or `"SKIPPED (1 core)"`.
-    pub status: String,
-    /// Cases executed (0 when skipped).
-    pub cases: u64,
-    /// Total pipeline executions across all differential legs.
-    pub execs: u64,
-    /// Invariant violations (must be 0 when status is `"ok"`).
-    pub violations: u64,
-    /// Wall-clock seconds for the batch.
-    pub wall_secs: f64,
+json_struct! {
+    /// The quick chaos differential sweep recorded in the `"chaos"` block,
+    /// or its explicit skip marker.
+    ///
+    /// The sweep is skipped on 1-core containers (its wall-secs figure is
+    /// meaningless there, matching the community `speedup_status`
+    /// convention) — but the block is **always emitted**. Silently dropping
+    /// it left `BENCH_*.json` consumers unable to tell "sweep clean" from
+    /// "sweep never ran"; the explicit `"SKIPPED (1 core)"` marker is the
+    /// fix.
+    #[derive(Debug, Clone, Default)]
+    pub struct ChaosSweep {
+        /// `"ok"` or `"SKIPPED (1 core)"`.
+        pub status: String,
+        /// Cases executed (0 when skipped).
+        pub cases: u64,
+        /// Total pipeline executions across all differential legs.
+        pub execs: u64,
+        /// Invariant violations (must be 0 when status is `"ok"`).
+        pub violations: u64,
+        /// Wall-clock seconds for the batch.
+        pub wall_secs: f64,
+    }
 }
 
-/// The schema-v6 `"checkpoint"` block: the `ckptcadence` sweep
-/// (full-copy vs incremental engine overhead across production
-/// cadences) plus the headline 200 ms cells. Always emitted — virtual
-/// time, so there is nothing to skip on small hosts.
-#[derive(Debug, Clone, Default)]
-pub struct CheckpointBlock {
-    /// `"ok"` always (explicit, matching the other blocks' convention).
-    pub status: String,
-    /// Guest server driven (the paper's Figure 4 subject).
-    pub guest: String,
-    /// Benign requests per measured run.
-    pub requests: usize,
-    /// The sweep cells: engine × interval.
-    pub cells: Vec<CadenceCell>,
-    /// Incremental-engine overhead at the paper's 200 ms default
-    /// cadence — the PR-7 acceptance gate (< 0.01).
-    pub incremental_200ms: f64,
-    /// Full-copy overhead at 200 ms, for the same-row comparison.
-    pub full_200ms: f64,
+json_struct! {
+    /// The schema-v6 `"checkpoint"` block: the `ckptcadence` sweep
+    /// (full-copy vs incremental engine overhead across production
+    /// cadences) plus the headline 200 ms cells. Always emitted — virtual
+    /// time, so there is nothing to skip on small hosts.
+    #[derive(Debug, Clone, Default)]
+    pub struct CheckpointBlock {
+        /// `"ok"` always (explicit, matching the other blocks' convention).
+        pub status: String,
+        /// Guest server driven (the paper's Figure 4 subject).
+        pub guest: String,
+        /// Benign requests per measured run.
+        pub requests: usize,
+        /// Incremental-engine overhead at the paper's 200 ms default
+        /// cadence — the incremental engine's acceptance gate (< 0.01).
+        pub incremental_200ms_overhead: f64,
+        /// Full-copy overhead at 200 ms, for the same-row comparison.
+        pub full_200ms_overhead: f64,
+        /// The sweep cells: engine × interval.
+        pub cells: Vec<CadenceCell>,
+    }
 }
 
 impl CheckpointBlock {
@@ -236,23 +502,25 @@ impl CheckpointBlock {
     }
 }
 
-/// Percentile summary of one latency window of the fleet run
-/// (quiescent or outbreak). All values in virtual milliseconds; NaN
-/// (serialized as `null`) when the window collected no samples.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetLatency {
-    /// Benign requests completed in this window.
-    pub samples: u64,
-    /// Median service latency.
-    pub p50_ms: f64,
-    /// 99th-percentile service latency.
-    pub p99_ms: f64,
-    /// 99.9th-percentile service latency.
-    pub p999_ms: f64,
-    /// Worst observed service latency.
-    pub max_ms: f64,
-    /// Mean service latency.
-    pub mean_ms: f64,
+json_struct! {
+    /// Percentile summary of one latency window of the fleet run
+    /// (quiescent or outbreak). All values in virtual milliseconds; NaN
+    /// (serialized as `null`) when the window collected no samples.
+    #[derive(Debug, Clone, Copy)]
+    pub struct FleetLatency {
+        /// Benign requests completed in this window.
+        pub samples: u64,
+        /// Median service latency.
+        pub p50_ms: f64,
+        /// 99th-percentile service latency.
+        pub p99_ms: f64,
+        /// 99.9th-percentile service latency.
+        pub p999_ms: f64,
+        /// Worst observed service latency.
+        pub max_ms: f64,
+        /// Mean service latency.
+        pub mean_ms: f64,
+    }
 }
 
 impl FleetLatency {
@@ -268,55 +536,57 @@ impl FleetLatency {
     }
 }
 
-/// The schema-v7 `"fleet"` block: the virtual-clock reactor run
-/// (`tables fleet`) — fleet-wide benign service latency during an
-/// outbreak versus the quiescent baseline, plus the determinism
-/// evidence.
-///
-/// Deliberately carries **no wall-clock time and no shard count**:
-/// every field is a pure function of `(hosts, seed, …)`, which is what
-/// makes the committed block reproducible bit-for-bit. Shard
-/// invariance is reported *inside* the block (`shard_invariant`,
-/// computed by running the same seed at 1 and N reactor shards and
-/// comparing digests) rather than by leaking the shard knob into it.
-#[derive(Debug, Clone)]
-pub struct FleetBlock {
-    /// `"ok"` always once produced (the skip marker is emitted by
-    /// [`PerfReport::to_json`] when the block is absent).
-    pub status: String,
-    /// Guest Sweeper hosts simulated.
-    pub hosts: u32,
-    /// Master seed of the run.
-    pub seed: u64,
-    /// Guest application (`Apache1` etc.).
-    pub target: String,
-    /// Virtual-time horizon of the run, ms.
-    pub horizon_ms: f64,
-    /// Patient-zero instant, ms (NaN → `null` for quiescent-only runs).
-    pub outbreak_at_ms: f64,
-    /// Requests served normally.
-    pub served: u64,
-    /// Requests dropped by deployed signatures.
-    pub filtered: u64,
-    /// Attacks detected.
-    pub attacks: u64,
-    /// Worm contacts scheduled.
-    pub contacts: u64,
-    /// Certified bundles verified and deployed.
-    pub bundles_deployed: u64,
-    /// Certified bundles rejected at verification (must stay 0).
-    pub bundles_rejected: u64,
-    /// Hosts holding at least one antibody at the end.
-    pub protected_hosts: u32,
-    /// Latency of benign requests arriving before the outbreak.
-    pub quiescent: FleetLatency,
-    /// Latency of benign requests arriving during the outbreak.
-    pub outbreak: FleetLatency,
-    /// The run's determinism digest, hex-printed.
-    pub digest: String,
-    /// Whether 1-shard and N-shard runs produced bit-equal digests
-    /// (chaos invariant I10; must be `true`).
-    pub shard_invariant: bool,
+json_struct! {
+    /// The schema-v7 `"fleet"` block: the virtual-clock reactor run
+    /// (`tables fleet`) — fleet-wide benign service latency during an
+    /// outbreak versus the quiescent baseline, plus the determinism
+    /// evidence.
+    ///
+    /// Deliberately carries **no wall-clock time and no shard count**:
+    /// every field is a pure function of `(hosts, seed, …)`, which is what
+    /// makes the committed block reproducible bit-for-bit. Shard
+    /// invariance is reported *inside* the block (`shard_invariant`,
+    /// computed by running the same seed at 1 and N reactor shards and
+    /// comparing digests) rather than by leaking the shard knob into it.
+    #[derive(Debug, Clone)]
+    pub struct FleetBlock {
+        /// `"ok"` always once produced (an absent block prints as its
+        /// skip marker).
+        pub status: String,
+        /// Guest Sweeper hosts simulated.
+        pub hosts: u32,
+        /// Master seed of the run.
+        pub seed: u64,
+        /// Guest application (`Apache1` etc.).
+        pub target: String,
+        /// Virtual-time horizon of the run, ms.
+        pub horizon_ms: f64,
+        /// Patient-zero instant, ms (NaN → `null` for quiescent-only runs).
+        pub outbreak_at_ms: f64,
+        /// Requests served normally.
+        pub served: u64,
+        /// Requests dropped by deployed signatures.
+        pub filtered: u64,
+        /// Attacks detected.
+        pub attacks: u64,
+        /// Worm contacts scheduled.
+        pub contacts: u64,
+        /// Certified bundles verified and deployed.
+        pub bundles_deployed: u64,
+        /// Certified bundles rejected at verification (must stay 0).
+        pub bundles_rejected: u64,
+        /// Hosts holding at least one antibody at the end.
+        pub protected_hosts: u32,
+        /// Latency of benign requests arriving before the outbreak.
+        pub quiescent: FleetLatency,
+        /// Latency of benign requests arriving during the outbreak.
+        pub outbreak: FleetLatency,
+        /// The run's determinism digest, hex-printed.
+        pub digest: String,
+        /// Whether 1-shard and N-shard runs produced bit-equal digests
+        /// (chaos invariant I10; must be `true`).
+        pub shard_invariant: bool,
+    }
 }
 
 /// Run the fleet reactor at 1 shard and at `check_shards` shards and
@@ -393,61 +663,63 @@ pub fn render_fleet_block(b: &FleetBlock) -> String {
     s
 }
 
-/// The schema-v9 `"recovery"` block: the `tables fleetrecover` run —
-/// the same fleet outbreak measured under Full recovery (whole-machine
-/// rollback + drop-the-attack replay) and under Domain recovery
-/// (partial rollback of only the attacked connection's domain, PR 10),
-/// plus a Differential leg in which every attacked host runs both modes
-/// for the same fault and asserts bit-equal post-recovery digests.
-///
-/// Follows the [`FleetBlock`] conventions: no wall-clock time, no shard
-/// count — every field is a pure function of `(hosts, seed, …)`, with
-/// shard invariance reported *inside* the block.
-#[derive(Debug, Clone)]
-pub struct RecoveryBlock {
-    /// `"ok"` always once produced (the skip marker is emitted by
-    /// [`PerfReport::to_json`] when the block is absent).
-    pub status: String,
-    /// Guest Sweeper hosts simulated (per leg).
-    pub hosts: u32,
-    /// Master seed of the run (identical across legs).
-    pub seed: u64,
-    /// Guest application (`Apache1` etc.).
-    pub target: String,
-    /// Outbreak-window benign latency under Full recovery.
-    pub full_outbreak: FleetLatency,
-    /// Quiescent benign latency under Full recovery.
-    pub full_quiescent: FleetLatency,
-    /// Outbreak-window benign latency under Domain recovery.
-    pub domain_outbreak: FleetLatency,
-    /// Quiescent benign latency under Domain recovery.
-    pub domain_quiescent: FleetLatency,
-    /// Partial rollbacks completed on the Domain leg.
-    pub domain_rollbacks: u64,
-    /// Fail-closed fallbacks from Domain to Full on the Domain leg.
-    pub domain_fallbacks: u64,
-    /// Cross-domain spills the page→domain ledger counted on the Domain
-    /// leg (each one forces a fallback).
-    pub domain_spills: u64,
-    /// `recovery.i12_violations` summed over every leg: partial
-    /// rollbacks that disturbed a benign domain. Must be 0.
-    pub i12_violations: u64,
-    /// Whether the Differential leg proved Domain ≡ Full: at least one
-    /// in-lockstep parity check ran and none mismatched.
-    pub domain_parity: bool,
-    /// Hosts protected at the end of the Full leg.
-    pub protected_full: u32,
-    /// Hosts protected at the end of the Domain leg.
-    pub protected_domain: u32,
-    /// Domain outbreak p999 over Full outbreak p999 — the headline
-    /// number: partial recovery keeps the analysis pause off the benign
-    /// service path, so this must stay well below 1.
-    pub p999_ratio: f64,
-    /// Domain-leg determinism digest, hex-printed.
-    pub digest_domain: String,
-    /// Whether the Domain leg's digest is shard-count-invariant
-    /// (invariant I10; must be `true`).
-    pub shard_invariant: bool,
+json_struct! {
+    /// The schema-v9 `"recovery"` block: the `tables fleetrecover` run —
+    /// the same fleet outbreak measured under Full recovery (whole-machine
+    /// rollback + drop-the-attack replay) and under Domain recovery
+    /// (partial rollback of only the attacked connection's domain),
+    /// plus a Differential leg in which every attacked host runs both modes
+    /// for the same fault and asserts bit-equal post-recovery digests.
+    ///
+    /// Follows the [`FleetBlock`] conventions: no wall-clock time, no shard
+    /// count — every field is a pure function of `(hosts, seed, …)`, with
+    /// shard invariance reported *inside* the block.
+    #[derive(Debug, Clone)]
+    pub struct RecoveryBlock {
+        /// `"ok"` always once produced (an absent block prints as its
+        /// skip marker).
+        pub status: String,
+        /// Guest Sweeper hosts simulated (per leg).
+        pub hosts: u32,
+        /// Master seed of the run (identical across legs).
+        pub seed: u64,
+        /// Guest application (`Apache1` etc.).
+        pub target: String,
+        /// Quiescent benign latency under Full recovery.
+        pub full_quiescent: FleetLatency,
+        /// Outbreak-window benign latency under Full recovery.
+        pub full_outbreak: FleetLatency,
+        /// Quiescent benign latency under Domain recovery.
+        pub domain_quiescent: FleetLatency,
+        /// Outbreak-window benign latency under Domain recovery.
+        pub domain_outbreak: FleetLatency,
+        /// Partial rollbacks completed on the Domain leg.
+        pub domain_rollbacks: u64,
+        /// Fail-closed fallbacks from Domain to Full on the Domain leg.
+        pub domain_fallbacks: u64,
+        /// Cross-domain spills the page→domain ledger counted on the Domain
+        /// leg (each one forces a fallback).
+        pub domain_spills: u64,
+        /// `recovery.i12_violations` summed over every leg: partial
+        /// rollbacks that disturbed a benign domain. Must be 0.
+        pub i12_violations: u64,
+        /// Whether the Differential leg proved Domain ≡ Full: at least one
+        /// in-lockstep parity check ran and none mismatched.
+        pub domain_parity: bool,
+        /// Hosts protected at the end of the Full leg.
+        pub protected_full: u32,
+        /// Hosts protected at the end of the Domain leg.
+        pub protected_domain: u32,
+        /// Domain outbreak p999 over Full outbreak p999 — the headline
+        /// number: partial recovery keeps the analysis pause off the benign
+        /// service path, so this must stay well below 1.
+        pub p999_ratio: f64,
+        /// Domain-leg determinism digest, hex-printed.
+        pub digest_domain: String,
+        /// Whether the Domain leg's digest is shard-count-invariant
+        /// (invariant I10; must be `true`).
+        pub shard_invariant: bool,
+    }
 }
 
 /// Run the fleet under Full, Domain (at 1 and `check_shards` shards),
@@ -476,10 +748,10 @@ pub fn recovery_block(
         hosts: domain.hosts,
         seed: domain.seed,
         target: format!("{:?}", cfg.target),
-        full_outbreak: FleetLatency::from_book(&full.outbreak),
         full_quiescent: FleetLatency::from_book(&full.quiescent),
-        domain_outbreak: FleetLatency::from_book(&domain.outbreak),
+        full_outbreak: FleetLatency::from_book(&full.outbreak),
         domain_quiescent: FleetLatency::from_book(&domain.quiescent),
+        domain_outbreak: FleetLatency::from_book(&domain.outbreak),
         domain_rollbacks: domain.metrics.counter("recovery.domain_rollbacks"),
         domain_fallbacks: domain.metrics.counter("recovery.domain_fallbacks"),
         domain_spills: domain.metrics.counter("checkpoint.domain_spills"),
@@ -551,83 +823,87 @@ pub const PR5_HOST_TICKS_PER_SEC: f64 = 20_000.0 * PR5_TICKS_PER_SEC_20K;
 /// `BENCH_pr5.json` — the "before" side of the PR-9 scratch-hoist note.
 pub const PR5_TICKS_PER_SEC_20K: f64 = 1741.78;
 
-/// One arm of the `fig9fail` containment-mechanism sweep: the same
-/// scanning-worm outbreak with one combination of defenses switched on.
-#[derive(Debug, Clone)]
-pub struct FailArm {
-    /// `"none"`, `"failest"`, `"antibody"`, or `"both"`.
-    pub name: String,
-    /// Consumers infected when the run ended.
-    pub infected: u64,
-    /// `infected / hosts`.
-    pub infection_ratio: f64,
-    /// Ticks simulated.
-    pub ticks: u64,
-    /// Wall-clock seconds for the run.
-    pub wall_secs: f64,
-    /// `hosts × ticks / wall_secs`: the event-driven engine's headline
-    /// unit. A dense engine pays O(hosts) per tick no matter how sparse
-    /// the outbreak; the SoA engine pays O(infected), so this number is
-    /// what grows with sparsity.
-    pub host_ticks_per_sec: f64,
-    /// Sources flagged by the failure estimator (failest arms only).
-    pub flagged_sources: u64,
-    /// Attempt slots suppressed at flagged sources (failest arms only).
-    pub suppressed_attempts: u64,
-    /// Hosts holding the antibody at the end (antibody arms only).
-    pub protected: u64,
+json_struct! {
+    /// One arm of the `fig9fail` containment-mechanism sweep: the same
+    /// scanning-worm outbreak with one combination of defenses switched on.
+    #[derive(Debug, Clone)]
+    pub struct FailArm {
+        /// `"none"`, `"failest"`, `"antibody"`, or `"both"`.
+        pub name: String,
+        /// Consumers infected when the run ended.
+        pub infected: u64,
+        /// `infected / hosts`.
+        pub infection_ratio: f64,
+        /// Ticks simulated.
+        pub ticks: u64,
+        /// Wall-clock seconds for the run.
+        pub wall_secs: f64,
+        /// `hosts × ticks / wall_secs`: the event-driven engine's headline
+        /// unit. A dense engine pays O(hosts) per tick no matter how sparse
+        /// the outbreak; the SoA engine pays O(infected), so this number is
+        /// what grows with sparsity.
+        pub host_ticks_per_sec: f64,
+        /// Sources flagged by the failure estimator (failest arms only).
+        pub flagged_sources: u64,
+        /// Attempt slots suppressed at flagged sources (failest arms only).
+        pub suppressed_attempts: u64,
+        /// Hosts holding the antibody at the end (antibody arms only).
+        pub protected: u64,
+    }
 }
 
-/// The schema-v8 `"epidemic1m"` block: the `tables fig9fail` sweep —
-/// connection-failure containment (Zhou-style hyper-compact failure
-/// estimators) versus the paper's antibody distribution on the same
-/// million-host outbreak, run on the struct-of-arrays engine, plus the
-/// differential-parity evidence that makes the speedup trustworthy.
-///
-/// Follows the [`FleetBlock`] conventions: `status` is `"ok"` once the
-/// block is produced (the skip marker is emitted by
-/// [`PerfReport::to_json`] when it is absent), and the parity verdicts
-/// are reported *inside* the block rather than as side channels.
-#[derive(Debug, Clone)]
-pub struct Epidemic1mBlock {
-    /// `"ok"` always once produced.
-    pub status: String,
-    /// Community size of the sweep arms.
-    pub hosts: u64,
-    /// Run seed (shared by every arm and the parity gate).
-    pub seed: u64,
-    /// Contact-state backend of the sweep arms (`"soa"`).
-    pub engine: String,
-    /// Whether both K = 1 and K = 4 differential runs at
-    /// `parity_hosts` reported zero SoA/legacy mismatches (invariant
-    /// I11; must be `true`).
-    pub soa_parity: bool,
-    /// Whether the K = 1 and K = 4 differential outcomes were
-    /// bit-identical to each other (must be `true`).
-    pub k_invariant: bool,
-    /// Hosts used for the differential parity gate (20k, or `hosts`
-    /// when smaller).
-    pub parity_hosts: u64,
-    /// Headline per-host tick rate: the antibody arm (the contained,
-    /// sparse regime the SoA active-queue engine is built for).
-    pub host_ticks_per_sec: f64,
-    /// The PR-5 dense-engine baseline ([`PR5_HOST_TICKS_PER_SEC`]).
-    pub pr5_host_ticks_per_sec: f64,
-    /// `host_ticks_per_sec / pr5_host_ticks_per_sec` (acceptance ≥ 50
-    /// at 1 M hosts).
-    pub speedup_vs_pr5: f64,
-    /// Scratch-hoist note, "before" side: the 20k-host K = 1 tick rate
-    /// committed in `BENCH_pr5.json`, when the coordinator allocated
-    /// fresh outbox/inbox vectors every tick.
-    pub hoist_before_ticks_per_sec: f64,
-    /// Scratch-hoist note, "after" side: the same PR-5 workload on the
-    /// *legacy* engine today, with the per-tick scratch hoisted to
-    /// reused per-shard buffers (the coordinator is shared, so the
-    /// dense engine benefits too — this isolates the hoist from the
-    /// SoA rework).
-    pub hoist_after_ticks_per_sec: f64,
-    /// The four sweep arms, in none/failest/antibody/both order.
-    pub arms: Vec<FailArm>,
+json_struct! {
+    /// The schema-v8 `"epidemic1m"` block: the `tables fig9fail` sweep —
+    /// connection-failure containment (Zhou-style hyper-compact failure
+    /// estimators) versus the paper's antibody distribution on the same
+    /// million-host outbreak, run on the struct-of-arrays engine, plus the
+    /// differential-parity evidence that makes the speedup trustworthy.
+    ///
+    /// Follows the [`FleetBlock`] conventions: `status` is `"ok"` once the
+    /// block is produced (an absent block prints as its skip marker), and
+    /// the parity verdicts are reported *inside* the block rather than as
+    /// side channels.
+    #[derive(Debug, Clone)]
+    pub struct Epidemic1mBlock {
+        /// `"ok"` always once produced.
+        pub status: String,
+        /// Community size of the sweep arms.
+        pub hosts: u64,
+        /// Run seed (shared by every arm and the parity gate).
+        pub seed: u64,
+        /// Contact-state backend of the sweep arms (`"soa"`).
+        pub engine: String,
+        /// Whether both K = 1 and K = 4 differential runs at
+        /// `parity_hosts` reported zero SoA/legacy mismatches (invariant
+        /// I11; must be `true`).
+        pub soa_parity: bool,
+        /// Whether the K = 1 and K = 4 differential outcomes were
+        /// bit-identical to each other (must be `true`).
+        pub k_invariant: bool,
+        /// Hosts used for the differential parity gate (20k, or `hosts`
+        /// when smaller).
+        pub parity_hosts: u64,
+        /// Headline per-host tick rate: the antibody arm (the contained,
+        /// sparse regime the SoA active-queue engine is built for).
+        pub host_ticks_per_sec: f64,
+        /// The dense-engine baseline ([`PR5_HOST_TICKS_PER_SEC`]).
+        pub pr5_host_ticks_per_sec: f64,
+        /// `host_ticks_per_sec / pr5_host_ticks_per_sec` (acceptance ≥ 50
+        /// at 1 M hosts).
+        pub speedup_vs_pr5: f64,
+        /// Scratch-hoist note, "before" side: the committed 20k-host K = 1
+        /// dense-engine tick rate ([`PR5_TICKS_PER_SEC_20K`]), from when
+        /// the coordinator allocated fresh outbox/inbox vectors every tick.
+        pub hoist_before_ticks_per_sec: f64,
+        /// Scratch-hoist note, "after" side: the same dense workload on the
+        /// *legacy* engine today, with the per-tick scratch hoisted to
+        /// reused per-shard buffers (the coordinator is shared, so the
+        /// dense engine benefits too — this isolates the hoist from the
+        /// SoA rework).
+        pub hoist_after_ticks_per_sec: f64,
+        /// The four sweep arms, in none/failest/antibody/both order.
+        pub arms: Vec<FailArm>,
+    }
 }
 
 /// Run the `fig9fail` sweep and fold it into the schema-v8
@@ -792,91 +1068,42 @@ pub fn render_epidemic_block(b: &Epidemic1mBlock) -> String {
     s
 }
 
-/// The full quick-pass snapshot written to `BENCH_*.json`.
+/// The full quick-pass snapshot written to `BENCH_*.json`: one field
+/// per top-level block, in print order.
 #[derive(Debug, Clone)]
 pub struct PerfReport {
     /// Host cores visible to the process (1 on the CI container).
     pub cores: usize,
-    /// Tight-loop instruction count per rep.
-    pub vm_loop_insns: u64,
-    /// Interpreter rate with the decode cache disabled.
-    pub vm_uncached: VmRate,
-    /// Interpreter rate with the decode cache enabled (icache only).
-    pub vm_cached: VmRate,
-    /// Full stack: icache + superblock tier.
-    pub vm_superblock: VmRate,
-    /// `cached.insns_per_sec / uncached.insns_per_sec`.
-    pub vm_speedup: f64,
-    /// `superblock.insns_per_sec / cached.insns_per_sec` (tight loop).
-    pub vm_sb_speedup: f64,
-    /// Straight-line-guest instruction count per rep.
-    pub straight_insns: u64,
-    /// Straight-line guest, pure interpreter.
-    pub straight_uncached: VmRate,
-    /// Straight-line guest, icache only.
-    pub straight_cached: VmRate,
-    /// Straight-line guest, full stack.
-    pub straight_superblock: VmRate,
-    /// Straight-line `cached / uncached` ratio.
-    pub straight_speedup: f64,
-    /// Straight-line `superblock / cached` ratio — the headline number
-    /// for the superblock tier (acceptance: ≥ 1.5).
-    pub straight_sb_speedup: f64,
+    /// The branch-dense tight-loop guest on all three tiers.
+    pub vm: VmBlock,
+    /// The straight-line guest on all three tiers; its
+    /// `superblock_over_cached` is the headline number for the
+    /// superblock tier (acceptance: ≥ 1.5).
+    pub vm_straight: VmBlock,
+    /// The community engine at K = 1 vs K = 4.
+    pub community: CommunityBlock,
     /// The chaos differential sweep (always present; see [`ChaosSweep`]).
     pub chaos: ChaosSweep,
-    /// Community hosts used for the K sweep.
-    pub hosts: u64,
-    /// Seed used for the K sweep.
-    pub seed: u64,
-    /// Community engine at K = 1.
-    pub k1: CommunityRate,
-    /// Community engine at K = 4.
-    pub k4: CommunityRate,
-    /// `k1.wall_secs / k4.wall_secs`.
-    pub community_speedup: f64,
-    /// Whether K = 1 and K = 4 produced bit-identical outcomes.
-    pub outcomes_identical: bool,
-    /// `"ok"`, or `"SKIPPED (1 core)"` when the wall-clock ratio is
-    /// meaningless because the host cannot run shards in parallel.
-    pub speedup_status: String,
-    /// Observability snapshot gathered during the quick pass: the
-    /// cached-VM run's machine counters merged with the K = 1 community
-    /// run's simulation counters. Written as the `"obs"` block of
-    /// `BENCH_*.json`.
-    pub obs: obs::MetricsRegistry,
-    /// Hosts used for the `fig9dist` distnet sweep (capped so the sweep
-    /// stays a quick pass even when `hosts` is large).
-    pub distnet_hosts: u64,
-    /// `"ok"` always today (the distnet sweep runs single-shard), but
-    /// emitted explicitly so consumers never have to infer presence.
-    pub distnet_status: String,
-    /// The `fig9dist` containment-vs-loss/Byzantine sweep (the schema
-    /// v4 `"distnet"` block).
-    pub distnet: Vec<DistNetCell>,
-    /// The `ckptcadence` sweep (the schema v6 `"checkpoint"` block).
+    /// The `fig9dist` containment-vs-loss/Byzantine sweep.
+    pub distnet: DistNetBlock,
+    /// The `ckptcadence` sweep.
     pub checkpoint: CheckpointBlock,
-    /// The fleet reactor run (the schema v7 `"fleet"` block).
-    ///
-    /// `None` in the quick pass — a 1k-host fleet is far too heavy for
-    /// `measure()`'s budget — in which case the JSON carries an
-    /// explicit skip marker. Populated by `tables fleet` (optionally
-    /// `--full`, which attaches it to a fresh full snapshot).
+    /// The fleet reactor run. `None` in the quick pass — a 1k-host
+    /// fleet is far too heavy for `measure()`'s budget. `tables fleet
+    /// --full` attaches it.
     pub fleet: Option<FleetBlock>,
-    /// The `fig9fail` million-host containment sweep (the schema v8
-    /// `"epidemic1m"` block).
-    ///
-    /// `None` in the quick pass — the sweep is sized by its `--hosts`
-    /// flag and belongs to `tables fig9fail` — in which case the JSON
-    /// carries an explicit skip marker. `tables fig9fail --full`
-    /// attaches it to a fresh full snapshot.
+    /// The `fig9fail` million-host containment sweep. `None` in the
+    /// quick pass — the sweep is sized by its own `--hosts` flag.
+    /// `tables fig9fail --full` attaches it.
     pub epidemic1m: Option<Epidemic1mBlock>,
-    /// The `fleetrecover` Full-vs-Domain recovery comparison (the
-    /// schema v9 `"recovery"` block).
-    ///
-    /// `None` in the quick pass — it runs the fleet four times — in
-    /// which case the JSON carries an explicit skip marker. Populated
-    /// by `tables fleetrecover`.
+    /// The `fleetrecover` Full-vs-Domain recovery comparison. `None` in
+    /// the quick pass — it runs the fleet four times. `tables
+    /// fleetrecover --full` attaches it.
     pub recovery: Option<RecoveryBlock>,
+    /// Observability snapshot gathered during the quick pass: the
+    /// tight-loop superblock run's machine counters merged with the
+    /// K = 1 community run's simulation counters.
+    pub obs: obs::MetricsRegistry,
 }
 
 /// The tight-loop guest: branch-dense, so the icache dominates and
@@ -899,47 +1126,29 @@ fn straight_src(loop_iters: u32) -> String {
     src
 }
 
-/// Measure interpreter throughput over a `loop_iters`-iteration tight
-/// loop, taking the fastest of `reps` runs (boot excluded from timing).
-/// `cache` enables the predecoded icache; `superblocks` additionally
-/// enables the superblock tier (ignored when `cache` is off).
-pub fn vm_rate(cache: bool, superblocks: bool, loop_iters: u32, reps: u32) -> VmRate {
-    vm_rate_with_metrics(cache, superblocks, loop_iters, reps).0
-}
-
-/// Like [`vm_rate`], also exporting the fastest rep's machine counters
-/// as an [`obs::MetricsRegistry`].
-pub fn vm_rate_with_metrics(
-    cache: bool,
-    superblocks: bool,
-    loop_iters: u32,
-    reps: u32,
-) -> (VmRate, obs::MetricsRegistry) {
-    vm_rate_src(&tight_src(loop_iters), cache, superblocks, reps)
-}
-
-/// Measure one tier over an arbitrary guest source.
-fn vm_rate_src(
+/// Measure interpreter throughput of the guest `src`, taking the
+/// fastest of `reps` runs (boot excluded from timing), and export that
+/// rep's machine counters. `cache` enables the predecoded icache;
+/// `superblocks` additionally enables the superblock tier (ignored when
+/// `cache` is off).
+pub fn vm_rate(
     src: &str,
     cache: bool,
     superblocks: bool,
     reps: u32,
 ) -> (VmRate, obs::MetricsRegistry) {
     let prog = assemble(src).expect("asm");
-    let sb = cache && superblocks;
     let mut best: Option<(VmRate, obs::MetricsRegistry)> = None;
     for _ in 0..reps.max(1) {
         let mut m = Machine::boot(&prog, Aslr::off())
             .expect("boot")
             .with_decode_cache(cache)
-            .with_superblocks(sb);
+            .with_superblocks(cache && superblocks);
         let start = std::time::Instant::now();
         let status = m.run(&mut NopHook, u64::MAX);
         let wall = start.elapsed().as_secs_f64();
         assert!(matches!(status, Status::Halted(_)), "loop must halt");
         let r = VmRate {
-            cached: cache,
-            superblocks: sb,
             insns: m.insns_retired,
             wall_secs: wall,
             insns_per_sec: insns_per_sec(m.insns_retired, wall),
@@ -955,37 +1164,41 @@ fn vm_rate_src(
     best.expect("reps >= 1")
 }
 
-/// Run the sharded community model engine once at shard count `k`.
-pub fn community_rate(hosts: u64, k: usize, seed: u64) -> CommunityRate {
-    community_rate_with_metrics(hosts, k, seed).0
+/// Measure the guest `src` on all three tiers (best of 3 each),
+/// returning the block and the superblock run's machine counters.
+fn vm_block(src: &str) -> (VmBlock, obs::MetricsRegistry) {
+    let (uncached, _) = vm_rate(src, false, false, 3);
+    let (cached, _) = vm_rate(src, true, false, 3);
+    let (superblock, metrics) = vm_rate(src, true, true, 3);
+    let block = VmBlock {
+        loop_insns: uncached.insns,
+        cached_over_uncached: ratio(cached.insns_per_sec, uncached.insns_per_sec),
+        superblock_over_cached: ratio(superblock.insns_per_sec, cached.insns_per_sec),
+        uncached,
+        cached,
+        superblock,
+    };
+    (block, metrics)
 }
 
-/// Like [`community_rate`], also returning the run's metrics snapshot
+/// Run the sharded community model engine once at shard count `k`,
+/// also returning the run's metrics snapshot
 /// ([`epidemic::CommunityOutcome::metrics`]).
-pub fn community_rate_with_metrics(
-    hosts: u64,
-    k: usize,
-    seed: u64,
-) -> (CommunityRate, obs::MetricsRegistry) {
+pub fn community_rate(hosts: u64, k: usize, seed: u64) -> (CommunityRate, obs::MetricsRegistry) {
     let (outcome, wall) = crate::model_campaign(hosts, Parallelism::Fixed(k), seed);
-    let metrics = outcome.metrics();
     let rate = CommunityRate {
         shards: k,
         wall_secs: wall,
         ticks: outcome.ticks,
-        ticks_per_sec: if wall > 0.0 {
-            outcome.ticks as f64 / wall
-        } else {
-            0.0
-        },
+        ticks_per_sec: ratio(outcome.ticks as f64, wall),
         infected: outcome.infected,
         t0_tick: outcome.t0_tick,
-        curve_sum: outcome
+        curve_fnv: outcome
             .curve
             .iter()
             .fold(0u64, |h, &v| h.wrapping_mul(0x100_0000_01b3) ^ v),
     };
-    (rate, metrics)
+    (rate, outcome.metrics())
 }
 
 /// Ratio of two rates, 0.0 when the denominator is degenerate.
@@ -1027,55 +1240,19 @@ pub fn measure(hosts: u64, seed: u64, vm_loop_iters: u32) -> PerfReport {
 /// 1-core skip path (a 1-core container cannot force the multi-core
 /// branch and vice versa).
 pub fn measure_with_cores(hosts: u64, seed: u64, vm_loop_iters: u32, cores: usize) -> PerfReport {
-    let uncached = vm_rate(false, false, vm_loop_iters, 3);
-    let cached = vm_rate(true, false, vm_loop_iters, 3);
-    let (superblock, vm_obs) = vm_rate_with_metrics(true, true, vm_loop_iters, 3);
+    let (vm, mut obs) = vm_block(&tight_src(vm_loop_iters));
     // Straight-line guest: scale iterations down so total retired insns
     // stay comparable to the tight loop (67 insns per iteration vs 3).
-    let straight_iters = (vm_loop_iters / 22).max(8);
-    let straight_uncached = vm_rate_src(&straight_src(straight_iters), false, false, 3).0;
-    let straight_cached = vm_rate_src(&straight_src(straight_iters), true, false, 3).0;
-    let straight_superblock = vm_rate_src(&straight_src(straight_iters), true, true, 3).0;
-    let (k1, k1_obs) = community_rate_with_metrics(hosts, 1, seed);
-    let k4 = community_rate(hosts, 4, seed);
-    let mut obs_reg = vm_obs;
-    obs_reg.merge(&k1_obs);
-    let outcomes_identical = (k1.infected, k1.t0_tick, k1.ticks, k1.curve_sum)
-        == (k4.infected, k4.t0_tick, k4.ticks, k4.curve_sum);
-    let chaos = chaos_sweep(seed, cores);
-    let distnet_hosts = hosts.clamp(400, 4_000);
-    let distnet = distnet_sweep(distnet_hosts, seed);
-    // The 200 ms cells only take periodic checkpoints once the run
-    // spans several intervals (~1500 requests per 200 ms of virtual
-    // time), so the committed snapshot uses a long run; the quick test
-    // pass keeps a short one and gates on the denser cadences instead.
-    let ckpt_requests = if vm_loop_iters >= 10_000 { 6_000 } else { 250 };
-    let checkpoint = checkpoint_block(ckpt_requests);
-    PerfReport {
-        cores,
-        vm_loop_insns: uncached.insns,
-        vm_speedup: ratio(cached.insns_per_sec, uncached.insns_per_sec),
-        vm_sb_speedup: ratio(superblock.insns_per_sec, cached.insns_per_sec),
-        vm_uncached: uncached,
-        vm_cached: cached,
-        vm_superblock: superblock,
-        straight_insns: straight_uncached.insns,
-        straight_speedup: ratio(
-            straight_cached.insns_per_sec,
-            straight_uncached.insns_per_sec,
-        ),
-        straight_sb_speedup: ratio(
-            straight_superblock.insns_per_sec,
-            straight_cached.insns_per_sec,
-        ),
-        straight_uncached,
-        straight_cached,
-        straight_superblock,
-        chaos,
+    let (vm_straight, _) = vm_block(&straight_src((vm_loop_iters / 22).max(8)));
+    let (k1, k1_obs) = community_rate(hosts, 1, seed);
+    let (k4, _) = community_rate(hosts, 4, seed);
+    obs.merge(&k1_obs);
+    let community = CommunityBlock {
         hosts,
         seed,
-        community_speedup: k1.wall_secs / k4.wall_secs.max(1e-12),
-        outcomes_identical,
+        k1_over_k4: k1.wall_secs / k4.wall_secs.max(1e-12),
+        outcomes_identical: (k1.infected, k1.t0_tick, k1.ticks, k1.curve_fnv)
+            == (k4.infected, k4.t0_tick, k4.ticks, k4.curve_fnv),
         speedup_status: if cores <= 1 {
             "SKIPPED (1 core)".to_string()
         } else {
@@ -1083,14 +1260,32 @@ pub fn measure_with_cores(hosts: u64, seed: u64, vm_loop_iters: u32, cores: usiz
         },
         k1,
         k4,
-        obs: obs_reg,
-        distnet_hosts,
-        distnet_status: "ok".to_string(),
+    };
+    let chaos = chaos_sweep(seed, cores);
+    let distnet_hosts = hosts.clamp(400, 4_000);
+    let distnet = DistNetBlock {
+        status: "ok".to_string(),
+        hosts: distnet_hosts,
+        seed,
+        cells: distnet_sweep(distnet_hosts, seed),
+    };
+    // The 200 ms cells only take periodic checkpoints once the run
+    // spans several intervals (~1500 requests per 200 ms of virtual
+    // time), so the committed snapshot uses a long run; the quick test
+    // pass keeps a short one and gates on the denser cadences instead.
+    let ckpt_requests = if vm_loop_iters >= 10_000 { 6_000 } else { 250 };
+    PerfReport {
+        cores,
+        vm,
+        vm_straight,
+        community,
+        chaos,
         distnet,
-        checkpoint,
+        checkpoint: checkpoint_block(ckpt_requests),
         fleet: None,
         epidemic1m: None,
         recovery: None,
+        obs,
     }
 }
 
@@ -1100,15 +1295,13 @@ pub fn checkpoint_block(requests: usize) -> CheckpointBlock {
     use apps::{squid, workload::Target};
     let app = squid::app().expect("squid assembles");
     let cells = cadence_sweep(&app, Target::Squid, requests);
-    let incremental_200ms = CheckpointBlock::cell_overhead(&cells, "incremental", 200.0);
-    let full_200ms = CheckpointBlock::cell_overhead(&cells, "full", 200.0);
     CheckpointBlock {
         status: "ok".to_string(),
         guest: "squid".to_string(),
         requests,
+        incremental_200ms_overhead: CheckpointBlock::cell_overhead(&cells, "incremental", 200.0),
+        full_200ms_overhead: CheckpointBlock::cell_overhead(&cells, "full", 200.0),
         cells,
-        incremental_200ms,
-        full_200ms,
     }
 }
 
@@ -1130,325 +1323,49 @@ pub fn render_checkpoint_block(b: &CheckpointBlock) -> String {
     }
     s.push_str(&format!(
         "incremental @ 200 ms: {:.4}% (gate: < 1%) | full @ 200 ms: {:.4}%",
-        b.incremental_200ms * 100.0,
-        b.full_200ms * 100.0
+        b.incremental_200ms_overhead * 100.0,
+        b.full_200ms_overhead * 100.0
     ));
     s
 }
 
-/// Format a float as a JSON number (6 significant decimals, `null` for
-/// non-finite values).
-fn jf(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn j_vm(r: &VmRate) -> String {
-    format!(
-        "{{\"insns\": {}, \"wall_secs\": {}, \"insns_per_sec\": {}, \
-         \"cache_hits\": {}, \"cache_misses\": {}, \"cache_invalidations\": {}, \
-         \"sb_dispatches\": {}, \"sb_insns\": {}, \"sb_bailouts\": {}}}",
-        r.insns,
-        jf(r.wall_secs),
-        jf(r.insns_per_sec),
-        r.stats.hits,
-        r.stats.misses,
-        r.stats.invalidations,
-        r.sb_stats.dispatches,
-        r.sb_stats.insns,
-        r.sb_stats.bailouts,
-    )
-}
-
-fn j_chaos(c: &ChaosSweep) -> String {
-    format!(
-        "{{\"status\": \"{}\", \"cases\": {}, \"execs\": {}, \
-         \"violations\": {}, \"wall_secs\": {}}}",
-        c.status,
-        c.cases,
-        c.execs,
-        c.violations,
-        jf(c.wall_secs),
-    )
-}
-
-fn j_community(r: &CommunityRate) -> String {
-    format!(
-        "{{\"shards\": {}, \"wall_secs\": {}, \"ticks\": {}, \"ticks_per_sec\": {}, \
-         \"infected\": {}, \"t0_tick\": {}, \"curve_fnv\": {}}}",
-        r.shards,
-        jf(r.wall_secs),
-        r.ticks,
-        jf(r.ticks_per_sec),
-        r.infected,
-        r.t0_tick.map_or("null".to_string(), |t| t.to_string()),
-        r.curve_sum,
-    )
-}
-
-fn j_distnet_cell(c: &DistNetCell) -> String {
-    format!(
-        "{{\"loss\": {}, \"byzantine\": {}, \"infected\": {}, \"protected\": {}, \
-         \"gamma_effective\": {}, \"ticks\": {}, \"verified\": {}, \"rejected\": {}, \
-         \"quarantines\": {}, \"gave_up\": {}, \"deployed_unverified\": {}}}",
-        jf(c.loss),
-        jf(c.byzantine),
-        c.infected,
-        c.protected,
-        c.gamma_effective
-            .map_or("null".to_string(), |g| g.to_string()),
-        c.ticks,
-        c.verified,
-        c.rejected,
-        c.quarantines,
-        c.gave_up,
-        c.deployed_unverified,
-    )
-}
-
-fn j_cadence_cell(c: &CadenceCell) -> String {
-    format!(
-        "{{\"engine\": \"{}\", \"interval_ms\": {}, \"overhead\": {}, \"checkpoints\": {}}}",
-        c.engine,
-        jf(c.interval_ms),
-        jf(c.overhead),
-        c.checkpoints,
-    )
-}
-
-fn j_fleet_latency(l: &FleetLatency) -> String {
-    format!(
-        "{{\"samples\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \"p999_ms\": {}, \
-         \"max_ms\": {}, \"mean_ms\": {}}}",
-        l.samples,
-        jf(l.p50_ms),
-        jf(l.p99_ms),
-        jf(l.p999_ms),
-        jf(l.max_ms),
-        jf(l.mean_ms),
-    )
-}
-
-fn j_fleet(b: &Option<FleetBlock>) -> String {
-    let Some(b) = b else {
-        // Same convention as the chaos skip: the block always exists,
-        // so consumers can tell "not run" from "silently dropped".
-        return "{\"status\": \"SKIPPED (run tables fleet)\"}".to_string();
-    };
-    format!(
-        "{{\n    \"status\": \"{}\",\n    \"hosts\": {},\n    \"seed\": {},\n    \
-         \"target\": \"{}\",\n    \"horizon_ms\": {},\n    \"outbreak_at_ms\": {},\n    \
-         \"served\": {},\n    \"filtered\": {},\n    \"attacks\": {},\n    \
-         \"contacts\": {},\n    \"bundles_deployed\": {},\n    \"bundles_rejected\": {},\n    \
-         \"protected_hosts\": {},\n    \"quiescent\": {},\n    \"outbreak\": {},\n    \
-         \"digest\": \"{}\",\n    \"shard_invariant\": {}\n  }}",
-        b.status,
-        b.hosts,
-        b.seed,
-        b.target,
-        jf(b.horizon_ms),
-        jf(b.outbreak_at_ms),
-        b.served,
-        b.filtered,
-        b.attacks,
-        b.contacts,
-        b.bundles_deployed,
-        b.bundles_rejected,
-        b.protected_hosts,
-        j_fleet_latency(&b.quiescent),
-        j_fleet_latency(&b.outbreak),
-        b.digest,
-        b.shard_invariant,
-    )
-}
-
-fn j_recovery(b: &Option<RecoveryBlock>) -> String {
-    let Some(b) = b else {
-        // Same convention as the fleet skip: the block always exists,
-        // so consumers can tell "not run" from "silently dropped".
-        return "{\"status\": \"SKIPPED (run tables fleetrecover)\"}".to_string();
-    };
-    format!(
-        "{{\n    \"status\": \"{}\",\n    \"hosts\": {},\n    \"seed\": {},\n    \
-         \"target\": \"{}\",\n    \"full_quiescent\": {},\n    \"full_outbreak\": {},\n    \
-         \"domain_quiescent\": {},\n    \"domain_outbreak\": {},\n    \
-         \"domain_rollbacks\": {},\n    \"domain_fallbacks\": {},\n    \
-         \"domain_spills\": {},\n    \"i12_violations\": {},\n    \"domain_parity\": {},\n    \
-         \"protected_full\": {},\n    \"protected_domain\": {},\n    \"p999_ratio\": {},\n    \
-         \"digest_domain\": \"{}\",\n    \"shard_invariant\": {}\n  }}",
-        b.status,
-        b.hosts,
-        b.seed,
-        b.target,
-        j_fleet_latency(&b.full_quiescent),
-        j_fleet_latency(&b.full_outbreak),
-        j_fleet_latency(&b.domain_quiescent),
-        j_fleet_latency(&b.domain_outbreak),
-        b.domain_rollbacks,
-        b.domain_fallbacks,
-        b.domain_spills,
-        b.i12_violations,
-        b.domain_parity,
-        b.protected_full,
-        b.protected_domain,
-        jf(b.p999_ratio),
-        b.digest_domain,
-        b.shard_invariant,
-    )
-}
-
-fn j_fail_arm(a: &FailArm) -> String {
-    format!(
-        "{{\"name\": \"{}\", \"infected\": {}, \"infection_ratio\": {}, \"ticks\": {}, \
-         \"wall_secs\": {}, \"host_ticks_per_sec\": {}, \"flagged_sources\": {}, \
-         \"suppressed_attempts\": {}, \"protected\": {}}}",
-        a.name,
-        a.infected,
-        jf(a.infection_ratio),
-        a.ticks,
-        jf(a.wall_secs),
-        jf(a.host_ticks_per_sec),
-        a.flagged_sources,
-        a.suppressed_attempts,
-        a.protected,
-    )
-}
-
-fn j_epidemic1m(b: &Option<Epidemic1mBlock>) -> String {
-    let Some(b) = b else {
-        // Same convention as the fleet skip: the block always exists,
-        // so consumers can tell "not run" from "silently dropped".
-        return "{\"status\": \"SKIPPED (run tables fig9fail)\"}".to_string();
-    };
-    let arms: Vec<String> = b
-        .arms
-        .iter()
-        .map(|a| format!("      {}", j_fail_arm(a)))
-        .collect();
-    format!(
-        "{{\n    \"status\": \"{}\",\n    \"hosts\": {},\n    \"seed\": {},\n    \
-         \"engine\": \"{}\",\n    \"soa_parity\": {},\n    \"k_invariant\": {},\n    \
-         \"parity_hosts\": {},\n    \"host_ticks_per_sec\": {},\n    \
-         \"pr5_host_ticks_per_sec\": {},\n    \"speedup_vs_pr5\": {},\n    \
-         \"hoist_before_ticks_per_sec\": {},\n    \"hoist_after_ticks_per_sec\": {},\n    \
-         \"arms\": [\n{}\n    ]\n  }}",
-        b.status,
-        b.hosts,
-        b.seed,
-        b.engine,
-        b.soa_parity,
-        b.k_invariant,
-        b.parity_hosts,
-        jf(b.host_ticks_per_sec),
-        jf(b.pr5_host_ticks_per_sec),
-        jf(b.speedup_vs_pr5),
-        jf(b.hoist_before_ticks_per_sec),
-        jf(b.hoist_after_ticks_per_sec),
-        arms.join(",\n"),
-    )
-}
-
-fn j_checkpoint(b: &CheckpointBlock) -> String {
-    let cells: Vec<String> = b
-        .cells
-        .iter()
-        .map(|c| format!("      {}", j_cadence_cell(c)))
-        .collect();
-    format!(
-        "{{\n    \"status\": \"{}\",\n    \"guest\": \"{}\",\n    \"requests\": {},\n    \
-         \"incremental_200ms_overhead\": {},\n    \"full_200ms_overhead\": {},\n    \
-         \"cells\": [\n{}\n    ]\n  }}",
-        b.status,
-        b.guest,
-        b.requests,
-        jf(b.incremental_200ms),
-        jf(b.full_200ms),
-        cells.join(",\n"),
-    )
-}
-
 impl PerfReport {
-    /// Serialize as pretty-printed JSON (`sweeper-bench-v9` schema; v9
-    /// added the always-present `"recovery"` block — the `fleetrecover`
-    /// Full-vs-Domain recovery comparison with its I12 and differential
-    /// parity verdicts, or an explicit skip marker when
-    /// `tables fleetrecover` has not populated it; v8
-    /// added the always-present `"epidemic1m"` block — the `fig9fail`
-    /// million-host containment sweep on the SoA engine with its
-    /// differential-parity verdicts, or an explicit skip marker when
-    /// `tables fig9fail` has not populated it; v7
-    /// added the always-present `"fleet"` block — the virtual-clock
-    /// reactor's outbreak-vs-quiescent latency percentiles with its
-    /// shard-invariance verdict, or an explicit skip marker when
-    /// `tables fleet` has not populated it; v6 added the
-    /// always-present `"checkpoint"` block — the `ckptcadence`
-    /// engine × interval sweep with its headline 200 ms overhead
-    /// cells; v5 added the `"superblock"` tier rows, the
-    /// `"vm_straight"` block, the always-present `"chaos"` block, and
-    /// explicit `"status"` markers on the skippable sweeps).
+    /// Serialize as a full BENCH document; an absent block prints as
+    /// its skip marker.
     pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self
-            .distnet
-            .iter()
-            .map(|c| format!("      {}", j_distnet_cell(c)))
-            .collect();
-        format!(
-            "{{\n  \"schema\": \"sweeper-bench-v9\",\n  \"cores\": {},\n  \"vm\": {{\n    \
-             \"loop_insns\": {},\n    \"uncached\": {},\n    \"cached\": {},\n    \
-             \"superblock\": {},\n    \"cached_over_uncached\": {},\n    \
-             \"superblock_over_cached\": {}\n  }},\n  \"vm_straight\": {{\n    \
-             \"loop_insns\": {},\n    \"uncached\": {},\n    \"cached\": {},\n    \
-             \"superblock\": {},\n    \"cached_over_uncached\": {},\n    \
-             \"superblock_over_cached\": {}\n  }},\n  \"community\": {{\n    \"hosts\": {},\n    \
-             \"seed\": {},\n    \"k1\": {},\n    \"k4\": {},\n    \"k1_over_k4\": {},\n    \
-             \"outcomes_identical\": {},\n    \"speedup_status\": \"{}\"\n  }},\n  \
-             \"chaos\": {},\n  \
-             \"distnet\": {{\n    \"status\": \"{}\",\n    \"hosts\": {},\n    \"seed\": {},\n    \
-             \"cells\": [\n{}\n    ]\n  }},\n  \
-             \"checkpoint\": {},\n  \
-             \"fleet\": {},\n  \
-             \"epidemic1m\": {},\n  \
-             \"recovery\": {},\n  \
-             \"obs\": {}\n}}\n",
-            self.cores,
-            self.vm_loop_insns,
-            j_vm(&self.vm_uncached),
-            j_vm(&self.vm_cached),
-            j_vm(&self.vm_superblock),
-            jf(self.vm_speedup),
-            jf(self.vm_sb_speedup),
-            self.straight_insns,
-            j_vm(&self.straight_uncached),
-            j_vm(&self.straight_cached),
-            j_vm(&self.straight_superblock),
-            jf(self.straight_speedup),
-            jf(self.straight_sb_speedup),
-            self.hosts,
-            self.seed,
-            j_community(&self.k1),
-            j_community(&self.k4),
-            jf(self.community_speedup),
-            self.outcomes_identical,
-            self.speedup_status,
-            j_chaos(&self.chaos),
-            self.distnet_status,
-            self.distnet_hosts,
-            self.seed,
-            cells.join(",\n"),
-            j_checkpoint(&self.checkpoint),
-            j_fleet(&self.fleet),
-            j_epidemic1m(&self.epidemic1m),
-            j_recovery(&self.recovery),
-            self.obs.to_json(),
-        )
+        document(fields! {
+            "cores": self.cores,
+            "vm": self.vm,
+            "vm_straight": self.vm_straight,
+            "community": self.community,
+            "chaos": self.chaos,
+            "distnet": self.distnet,
+            "checkpoint": self.checkpoint,
+            "fleet": Json::or_skipped(&self.fleet, "fleet"),
+            "epidemic1m": Json::or_skipped(&self.epidemic1m, "fig9fail"),
+            "recovery": Json::or_skipped(&self.recovery, "fleetrecover"),
+            "obs": Json::Text(self.obs.to_json()),
+        })
     }
 
     /// Human-readable summary (what `tables benchjson` prints).
     pub fn render(&self) -> String {
-        let unverified: u64 = self.distnet.iter().map(|c| c.deployed_unverified).sum();
+        let tiers = |b: &VmBlock| {
+            format!(
+                "{:>12.0} insns/s uncached | {:>12.0} icache -> {:.2}x | {:>12.0} superblock -> {:.2}x",
+                b.uncached.insns_per_sec,
+                b.cached.insns_per_sec,
+                b.cached_over_uncached,
+                b.superblock.insns_per_sec,
+                b.superblock_over_cached,
+            )
+        };
+        let unverified: u64 = self
+            .distnet
+            .cells
+            .iter()
+            .map(|c| c.deployed_unverified)
+            .sum();
         let fleet_line = match &self.fleet {
             Some(f) => format!(
                 "\nfleet       : {} hosts, p99 {:.3} ms quiescent -> {:.3} ms outbreak, \
@@ -1492,91 +1409,36 @@ impl PerfReport {
             None => "\nrecovery    : SKIPPED (run tables fleetrecover)".to_string(),
         };
         format!(
-            "interpreter : {:>12.0} insns/s uncached | {:>12.0} icache -> {:.2}x | {:>12.0} superblock -> {:.2}x\n\
-             straight    : {:>12.0} insns/s uncached | {:>12.0} icache -> {:.2}x | {:>12.0} superblock -> {:.2}x\n\
+            "interpreter : {}\n\
+             straight    : {}\n\
              community   : K=1 {:.3} s ({:.0} ticks/s) | K=4 {:.3} s ({:.0} ticks/s) -> {:.2}x [{}]\n\
              outcomes    : identical across K = {}\n\
              chaos       : {} cases, {} execs, {} violations [{}]\n\
              distnet     : {} fig9dist cells over {} hosts, {} unverified deployments (I8) [{}]\n\
              checkpoint  : incremental {:.4}% vs full {:.4}% @ 200 ms ({} requests) [{}]{fleet_line}{epi_line}{recovery_line}",
-            self.vm_uncached.insns_per_sec,
-            self.vm_cached.insns_per_sec,
-            self.vm_speedup,
-            self.vm_superblock.insns_per_sec,
-            self.vm_sb_speedup,
-            self.straight_uncached.insns_per_sec,
-            self.straight_cached.insns_per_sec,
-            self.straight_speedup,
-            self.straight_superblock.insns_per_sec,
-            self.straight_sb_speedup,
-            self.k1.wall_secs,
-            self.k1.ticks_per_sec,
-            self.k4.wall_secs,
-            self.k4.ticks_per_sec,
-            self.community_speedup,
-            self.speedup_status,
-            self.outcomes_identical,
+            tiers(&self.vm),
+            tiers(&self.vm_straight),
+            self.community.k1.wall_secs,
+            self.community.k1.ticks_per_sec,
+            self.community.k4.wall_secs,
+            self.community.k4.ticks_per_sec,
+            self.community.k1_over_k4,
+            self.community.speedup_status,
+            self.community.outcomes_identical,
             self.chaos.cases,
             self.chaos.execs,
             self.chaos.violations,
             self.chaos.status,
-            self.distnet.len(),
-            self.distnet_hosts,
+            self.distnet.cells.len(),
+            self.distnet.hosts,
             unverified,
-            self.distnet_status,
-            self.checkpoint.incremental_200ms * 100.0,
-            self.checkpoint.full_200ms * 100.0,
+            self.distnet.status,
+            self.checkpoint.incremental_200ms_overhead * 100.0,
+            self.checkpoint.full_200ms_overhead * 100.0,
             self.checkpoint.requests,
             self.checkpoint.status,
         )
     }
-}
-
-/// Write `report` to `path`, creating or truncating the file.
-pub fn write_json(path: &str, report: &PerfReport) -> std::io::Result<()> {
-    std::fs::write(path, report.to_json())
-}
-
-/// Write a fleet-only schema-v7 document (the CI `fleet-smoke` fast
-/// path): the same `"fleet"` block a full snapshot carries, without
-/// re-measuring everything else.
-pub fn write_fleet_json(path: &str, block: &FleetBlock) -> std::io::Result<()> {
-    let b = Some(block.clone());
-    std::fs::write(
-        path,
-        format!(
-            "{{\n  \"schema\": \"sweeper-bench-v9\",\n  \"fleet\": {}\n}}\n",
-            j_fleet(&b)
-        ),
-    )
-}
-
-/// Write an epidemic1m-only schema-v8 document (the CI `epidemic-smoke`
-/// fast path): the same `"epidemic1m"` block a full snapshot carries,
-/// without re-measuring everything else.
-pub fn write_epidemic_json(path: &str, block: &Epidemic1mBlock) -> std::io::Result<()> {
-    let b = Some(block.clone());
-    std::fs::write(
-        path,
-        format!(
-            "{{\n  \"schema\": \"sweeper-bench-v9\",\n  \"epidemic1m\": {}\n}}\n",
-            j_epidemic1m(&b)
-        ),
-    )
-}
-
-/// Write a recovery-only schema-v9 document (the CI `recovery-smoke`
-/// fast path): the same `"recovery"` block a full snapshot carries,
-/// without re-measuring everything else.
-pub fn write_recovery_json(path: &str, block: &RecoveryBlock) -> std::io::Result<()> {
-    let b = Some(block.clone());
-    std::fs::write(
-        path,
-        format!(
-            "{{\n  \"schema\": \"sweeper-bench-v9\",\n  \"recovery\": {}\n}}\n",
-            j_recovery(&b)
-        ),
-    )
 }
 
 /// The superblock parity smoke behind `tables sbparity`: run a benign
@@ -1755,9 +1617,10 @@ mod tests {
 
     #[test]
     fn vm_rate_counts_cache_activity() {
-        let off = vm_rate(false, false, 500, 1);
-        let on = vm_rate(true, false, 500, 1);
-        let sb = vm_rate(true, true, 500, 1);
+        let tight = tight_src(500);
+        let (off, _) = vm_rate(&tight, false, false, 1);
+        let (on, _) = vm_rate(&tight, true, false, 1);
+        let (sb, _) = vm_rate(&tight, true, true, 1);
         assert_eq!(off.insns, on.insns, "same program, same retire count");
         assert_eq!(off.insns, sb.insns, "superblock tier retires identically");
         assert_eq!(off.stats, CacheStats::default(), "disabled cache is inert");
@@ -1771,7 +1634,7 @@ mod tests {
         // is long enough to fuse, hence at most one dispatch.
         assert!(sb.sb_stats.dispatches <= 1, "short blocks stay on icache");
         assert!(sb.sb_stats.bypasses > 0, "probed and cached as bypasses");
-        let (straight, _) = vm_rate_src(&straight_src(40), true, true, 1);
+        let (straight, _) = vm_rate(&straight_src(40), true, true, 1);
         assert!(
             straight.sb_stats.dispatches > 0,
             "straight-line guest dispatches fused blocks"
@@ -1782,7 +1645,10 @@ mod tests {
     #[test]
     fn report_json_is_well_formed_enough() {
         let r = measure(400, 7, 300);
-        assert!(r.outcomes_identical, "K must not change the outcome");
+        assert!(
+            r.community.outcomes_identical,
+            "K must not change the outcome"
+        );
         let json = r.to_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"schema\": \"sweeper-bench-v9\""));
@@ -1795,25 +1661,25 @@ mod tests {
         assert!(json.contains("\"vm_straight\""));
         assert!(json.contains("\"speedup_status\""));
         // All three tiers retired the same instruction stream.
-        assert_eq!(r.vm_uncached.insns, r.vm_superblock.insns);
-        assert_eq!(r.straight_uncached.insns, r.straight_superblock.insns);
+        assert_eq!(r.vm.uncached.insns, r.vm.superblock.insns);
+        assert_eq!(r.vm_straight.uncached.insns, r.vm_straight.superblock.insns);
         assert!(
-            r.straight_superblock.sb_stats.insns > 0,
+            r.vm_straight.superblock.sb_stats.insns > 0,
             "superblock tier executed the straight-line guest"
         );
         // The distnet block is present and populated.
         assert!(json.contains("\"distnet\""));
         assert!(json.contains("\"deployed_unverified\""));
-        assert_eq!(r.distnet.len(), 8, "4 loss x 2 byzantine cells");
+        assert_eq!(r.distnet.cells.len(), 8, "4 loss x 2 byzantine cells");
         // The checkpoint block is present and carries the full sweep:
         // 2 engines x 4 intervals, with the headline 200 ms cells.
         assert!(json.contains("\"checkpoint\": {"));
         assert!(json.contains("\"incremental_200ms_overhead\""));
         assert_eq!(r.checkpoint.cells.len(), 8, "2 engines x 4 intervals");
         assert!(
-            r.checkpoint.incremental_200ms < 0.01,
+            r.checkpoint.incremental_200ms_overhead < 0.01,
             "PR-7 gate: incremental engine must stay under 1% at 200 ms, got {:.4}",
-            r.checkpoint.incremental_200ms
+            r.checkpoint.incremental_200ms_overhead
         );
         // The quick pass is too short for periodic 200 ms checkpoints
         // (both engines read 0 there), so the engine comparison gates on
@@ -1825,7 +1691,7 @@ mod tests {
             "incremental must beat the full copy at the same cadence: {inc_20:.4} vs {full_20:.4}"
         );
         assert!(
-            r.checkpoint.incremental_200ms <= r.checkpoint.full_200ms,
+            r.checkpoint.incremental_200ms_overhead <= r.checkpoint.full_200ms_overhead,
             "incremental never costs more than full at 200 ms"
         );
         // The obs block carries both VM and community counters.
@@ -1870,7 +1736,7 @@ mod tests {
             json.contains("\"recovery\": {\"status\": \"SKIPPED (run tables fleetrecover)\"}"),
             "the quick pass marks the recovery block skipped, never drops it"
         );
-        assert_eq!(r.speedup_status, "SKIPPED (1 core)");
+        assert_eq!(r.community.speedup_status, "SKIPPED (1 core)");
     }
 
     #[test]
@@ -1905,8 +1771,8 @@ mod tests {
         assert_eq!(b.host_ticks_per_sec, arm("antibody").host_ticks_per_sec);
         assert!(b.speedup_vs_pr5 > 0.0 && b.speedup_vs_pr5.is_finite());
         assert!(b.hoist_after_ticks_per_sec > 0.0);
-        // The JSON cell round-trips without bare non-finite tokens.
-        let json = j_epidemic1m(&Some(b));
+        // The JSON block round-trips without bare non-finite tokens.
+        let json = document(vec![("epidemic1m", b.to_json())]);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"soa_parity\": true"));
         assert!(json.contains("\"k_invariant\": true"));
@@ -1924,15 +1790,70 @@ mod tests {
         assert!(b.attacks > 0, "smoke outbreak lands: {b:?}");
         // Same seed, same block — including through the JSON encoding.
         let again = fleet_block(&cfg, 3).expect("fleet runs");
-        let (a, b2) = (Some(b), Some(again));
-        assert_eq!(j_fleet(&a), j_fleet(&b2), "fleet block is bit-stable");
-        let json = j_fleet(&a);
+        let json = document(vec![("fleet", b.to_json())]);
+        assert_eq!(
+            json,
+            document(vec![("fleet", again.to_json())]),
+            "fleet block is bit-stable"
+        );
         assert!(json.contains("\"shard_invariant\": true"));
         // An empty window serializes its percentiles as null; a
         // populated one never does.
-        let quiescent_cell = j_fleet_latency(&a.as_ref().expect("block").quiescent);
+        let quiescent_cell = document(fields! { "quiescent": &b.quiescent });
         assert!(!quiescent_cell.contains("null"), "{quiescent_cell}");
+        // The exact text at this config, pinned: CI's `recovery-smoke`
+        // `sed` parses the one-line latency objects.
+        assert_eq!(json, GOLDEN_FLEET_SMOKE);
     }
+
+    const GOLDEN_FLEET_SMOKE: &str = r#"{
+  "schema": "sweeper-bench-v9",
+  "fleet": {
+    "status": "ok",
+    "hosts": 5,
+    "seed": 9,
+    "target": "Apache1",
+    "horizon_ms": 600.000000,
+    "outbreak_at_ms": 250.000000,
+    "served": 7,
+    "filtered": 4,
+    "attacks": 6,
+    "contacts": 10,
+    "bundles_deployed": 4,
+    "bundles_rejected": 0,
+    "protected_hosts": 5,
+    "quiescent": {"samples": 1, "p50_ms": 0.101265, "p99_ms": 0.101265, "p999_ms": 0.101265, "max_ms": 0.101265, "mean_ms": 0.101265},
+    "outbreak": {"samples": 6, "p50_ms": 0.101680, "p99_ms": 0.101782, "p999_ms": 0.101782, "max_ms": 0.101782, "mean_ms": 0.101642},
+    "digest": "0x5b873a80f53c9ad1",
+    "shard_invariant": true
+  }
+}
+"#;
+
+    const GOLDEN_RECOVERY_SMOKE: &str = r#"{
+  "schema": "sweeper-bench-v9",
+  "recovery": {
+    "status": "ok",
+    "hosts": 5,
+    "seed": 9,
+    "target": "Apache1",
+    "full_quiescent": {"samples": 1, "p50_ms": 0.101265, "p99_ms": 0.101265, "p999_ms": 0.101265, "max_ms": 0.101265, "mean_ms": 0.101265},
+    "full_outbreak": {"samples": 6, "p50_ms": 0.101680, "p99_ms": 0.101782, "p999_ms": 0.101782, "max_ms": 0.101782, "mean_ms": 0.101587},
+    "domain_quiescent": {"samples": 1, "p50_ms": 0.101265, "p99_ms": 0.101265, "p999_ms": 0.101265, "max_ms": 0.101265, "mean_ms": 0.101265},
+    "domain_outbreak": {"samples": 6, "p50_ms": 0.101680, "p99_ms": 0.101782, "p999_ms": 0.101782, "max_ms": 0.101782, "mean_ms": 0.101642},
+    "domain_rollbacks": 6,
+    "domain_fallbacks": 0,
+    "domain_spills": 0,
+    "i12_violations": 0,
+    "domain_parity": true,
+    "protected_full": 5,
+    "protected_domain": 5,
+    "p999_ratio": 1.000000,
+    "digest_domain": "0x5b873a80f53c9ad1",
+    "shard_invariant": true
+  }
+}
+"#;
 
     #[test]
     fn recovery_block_holds_i12_and_parity_at_smoke_scale() {
@@ -1949,15 +1870,40 @@ mod tests {
         assert!(b.domain_rollbacks > 0, "Domain mode actually ran: {b:?}");
         // Same seed, same block — including through the JSON encoding.
         let again = recovery_block(&cfg, 3).expect("fleet runs");
-        let (a, b2) = (Some(b), Some(again));
+        let json = document(vec![("recovery", b.to_json())]);
         assert_eq!(
-            j_recovery(&a),
-            j_recovery(&b2),
+            json,
+            document(vec![("recovery", again.to_json())]),
             "recovery block is bit-stable"
         );
-        let json = j_recovery(&a);
         assert!(json.contains("\"domain_parity\": true"));
         assert!(!json.contains("NaN") && !json.contains(": inf"));
+        assert_eq!(json, GOLDEN_RECOVERY_SMOKE);
+    }
+
+    #[test]
+    fn writer_prints_null_skip_markers_and_escapes() {
+        let json = document(fields! {
+            "finite": 0.5,
+            "nan": f64::NAN,
+            "inf": f64::INFINITY,
+            "none": None::<u64>,
+            "quoted": "a \"b\" \\c",
+            "fleet": Json::or_skipped(&None::<FleetBlock>, "fleet"),
+        });
+        assert_eq!(
+            json,
+            r#"{
+  "schema": "sweeper-bench-v9",
+  "finite": 0.500000,
+  "nan": null,
+  "inf": null,
+  "none": null,
+  "quoted": "a \"b\" \\c",
+  "fleet": {"status": "SKIPPED (run tables fleet)"}
+}
+"#
+        );
     }
 
     #[test]
