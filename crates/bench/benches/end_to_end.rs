@@ -61,29 +61,10 @@ fn bench_sampling_modes(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_community_campaign(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e2e/community_campaign");
-    g.sample_size(10);
-    g.bench_function("12_hosts_cvs_worm", |b| {
-        b.iter(|| {
-            bench::run_campaign(bench::CampaignConfig {
-                hosts: 12,
-                producer_every: 4,
-                dissemination_attempts: 2,
-                consumers_unrandomized: false,
-                seed: 99,
-                parallelism: epidemic::Parallelism::Fixed(1),
-            })
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_protected_service,
     bench_attack_handling,
-    bench_sampling_modes,
-    bench_community_campaign
+    bench_sampling_modes
 );
 criterion_main!(benches);

@@ -1,10 +1,10 @@
 //! Wall-clock benchmarks of the community-defense model: ODE solves,
-//! full figure sweeps, Monte-Carlo outbreaks, and the sharded community
-//! engine at several shard counts.
+//! full figure sweeps, and the sharded community engine at several
+//! shard counts.
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use epidemic::{figure6, simulate, solve, Parallelism, Scenario};
+use epidemic::{figure6, solve, Parallelism, Scenario};
 
 fn bench_solve(c: &mut Criterion) {
     c.bench_function("epidemic/solve_slammer", |b| {
@@ -20,24 +20,6 @@ fn bench_figure_sweep(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("30_cells", |b| b.iter(figure6));
     g.finish();
-}
-
-fn bench_monte_carlo(c: &mut Criterion) {
-    let s = Scenario {
-        beta: 0.1,
-        n: 10_000.0,
-        alpha: 0.001,
-        rho: 1.0,
-        gamma: 10.0,
-        i0: 1.0,
-    };
-    c.bench_function("epidemic/monte_carlo_outbreak", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            simulate(&s, seed)
-        })
-    });
 }
 
 fn bench_sharded_community(c: &mut Criterion) {
@@ -62,7 +44,6 @@ criterion_group!(
     benches,
     bench_solve,
     bench_figure_sweep,
-    bench_monte_carlo,
     bench_sharded_community
 );
 criterion_main!(benches);

@@ -1,8 +1,8 @@
 //! Regenerate every table and figure of the paper's evaluation.
 //!
-//! Usage: `tables [table1|table2|table3|fig4|fig5|fig6|fig7|fig8|vsef|endtoend|ablation|rho|nx|community|vigilante|all]`
+//! Usage: `tables [table1|table2|table3|fig4|fig5|fig6|fig7|fig8|vsef|endtoend|ablation|rho|nx|vigilante|all]`
 //!
-//! Community-engine (sharded agent model) extras, not part of `all`.
+//! Community-engine (sharded tick model) extras, not part of `all`.
 //! Every subcommand accepts the flags `--hosts=N --shards=K --seed=S
 //! --requests=N --out=F --full` and uses the ones listed below; an
 //! unknown flag exits 2 and lists the known ones. A subcommand that
@@ -15,11 +15,6 @@
 //! * `shards [--hosts=N] [--shards=K] [--seed=S]` — one large
 //!   Figure-7-style run printing the per-shard counter report (hosts
 //!   infected, antibodies applied, events exchanged, phase wall-clock).
-//! * `speedup [--hosts=N] [--seed=S] [--out=F]` — wall-clock at K = 1 vs
-//!   K = 4 shards for the same run, verifying identical outcomes. On a
-//!   single-core host the wall-clock ratio is meaningless, so the line is
-//!   marked `SKIPPED (1 core)` (still exit 0); either way the measured
-//!   numbers are recorded in the bench JSON.
 //! * `benchjson [--hosts=N] [--seed=S] [--out=F]` — quick fixed-iteration
 //!   perf snapshot: interpreter insns/sec on all three execution tiers
 //!   (interpreter / icache / icache + superblocks, tight-loop and
@@ -27,9 +22,11 @@
 //!   K = 4, the chaos differential sweep (skipped with an explicit
 //!   marker on 1-core hosts), plus the `fig9dist` distribution-network
 //!   sweep and the `ckptcadence` checkpoint-overhead sweep — written
-//!   machine-readably to `--out`. CI gates on the written document
-//!   (not its numbers); commit the refreshed file when a change moves
-//!   performance.
+//!   machine-readably to `--out`. Asserts that K = 1 and K = 4 give the
+//!   identical community outcome; on a single-core host the wall-clock
+//!   ratio is marked `SKIPPED (1 core)`. CI gates on the written
+//!   document (not its numbers); commit the refreshed file when a
+//!   change moves performance.
 //! * `fleet [--hosts=N] [--shards=K] [--seed=S] [--out=F] [--full]` —
 //!   the virtual-clock fleet reactor: N guest Sweeper hosts (default
 //!   1000) under open-loop Poisson load with a mid-run worm outbreak,
@@ -197,7 +194,6 @@ const SUBCOMMANDS: &[&str] = &[
     "fig7mc",
     "fig8mc",
     "shards",
-    "speedup",
     "benchjson",
     "fleet",
     "fleetrecover",
@@ -212,7 +208,6 @@ const SUBCOMMANDS: &[&str] = &[
     "endtoend",
     "ablation",
     "rho",
-    "community",
     "vigilante",
     "nx",
 ];
@@ -266,32 +261,13 @@ fn main() {
         println!("{}", outcome.shard_report());
         println!("wall-clock: {secs:.3} s\n");
     }
-    if which == "speedup" {
-        let cfg = flags.community(100_000);
-        let r = bench::measure(cfg.hosts, cfg.seed, 100_000);
-        flags.write(&r.to_json());
-        let c = &r.community;
-        assert!(
-            c.outcomes_identical,
-            "shard counts must not change the outcome"
-        );
-        let (t1, t4) = (c.k1.wall_secs, c.k4.wall_secs);
-        if r.cores <= 1 {
-            println!(
-                "speedup: SKIPPED (1 core) — K=1 {t1:.3} s vs K=4 {t4:.3} s recorded; \
-                 wall-clock ratio needs >1 core (outcomes bit-identical, {} hosts infected)\n",
-                c.k1.infected,
-            );
-        } else {
-            println!(
-                "speedup: K=1 {t1:.3} s vs K=4 {t4:.3} s -> {:.2}x (outcomes bit-identical, {} hosts infected)\n",
-                c.k1_over_k4, c.k1.infected,
-            );
-        }
-    }
     if which == "benchjson" {
         let cfg = flags.community(20_000);
         let r = bench::measure(cfg.hosts, cfg.seed, 100_000);
+        assert!(
+            r.community.outcomes_identical,
+            "shard counts must not change the community outcome"
+        );
         flags.write(&r.to_json());
         println!("{}\n", r.render());
     }
@@ -396,22 +372,6 @@ fn main() {
             "Empirical ASLR bypass probability: {hits}/{trials} compromises (rate {rate:.5}; model rho = 2^-12 = {:.5})\n",
             (2.0f64).powi(-12)
         );
-    }
-    if all || which == "community" {
-        println!("Community defense over real Sweeper hosts (CVS unlink worm, hit-list order):");
-        for (producer_every, dissemination) in [(4usize, 2usize), (10, 3), (10, 6)] {
-            let cfg = bench::CampaignConfig {
-                hosts: 12,
-                producer_every,
-                dissemination_attempts: dissemination,
-                consumers_unrandomized: true,
-                seed: 0xc0117,
-                parallelism: epidemic::Parallelism::Auto,
-            };
-            let r = bench::run_campaign(cfg);
-            println!("  {}", bench::community_sim::render(cfg, &r));
-        }
-        println!();
     }
     if all || which == "vigilante" {
         let (cpu_mult, always_on, sweeper) = bench::ablation::vigilante_comparison(120);

@@ -1181,11 +1181,34 @@ fn vm_block(src: &str) -> (VmBlock, obs::MetricsRegistry) {
     (block, metrics)
 }
 
+/// A Figure-7-style large-N run of the sharded *model* engine (hit-list
+/// worm, β = 1000, ρ = 2⁻¹², γ = 5 s) with a hot start (half the
+/// community already infected) so the per-tick workload is dense enough
+/// to measure sharding speedups. Returns the outcome plus wall-clock
+/// seconds. Bit-identical results at any shard count for a fixed seed.
+pub fn model_campaign(
+    hosts: u64,
+    parallelism: Parallelism,
+    seed: u64,
+) -> (epidemic::CommunityOutcome, f64) {
+    let scenario = epidemic::Scenario {
+        n: hosts as f64,
+        ..epidemic::Scenario::hitlist(1000.0, 0.001, 5.0)
+    };
+    let params = epidemic::CommunityParams {
+        i0: hosts / 2,
+        ..epidemic::CommunityParams::from_scenario(&scenario, 0.01, seed, parallelism)
+    };
+    let start = std::time::Instant::now();
+    let outcome = epidemic::community::run(&params);
+    (outcome, start.elapsed().as_secs_f64())
+}
+
 /// Run the sharded community model engine once at shard count `k`,
 /// also returning the run's metrics snapshot
 /// ([`epidemic::CommunityOutcome::metrics`]).
 pub fn community_rate(hosts: u64, k: usize, seed: u64) -> (CommunityRate, obs::MetricsRegistry) {
-    let (outcome, wall) = crate::model_campaign(hosts, Parallelism::Fixed(k), seed);
+    let (outcome, wall) = model_campaign(hosts, Parallelism::Fixed(k), seed);
     let rate = CommunityRate {
         shards: k,
         wall_secs: wall,

@@ -18,13 +18,16 @@ fn usage_error(args: &[&str]) -> String {
 
 #[test]
 fn unknown_subcommand_exits_2_and_lists_the_known_ones() {
-    let stderr = usage_error(&["ckptparty"]);
-    assert!(
-        stderr.contains("unknown subcommand 'ckptparty'"),
-        "{stderr}"
-    );
-    for known in ["ckptparity", "sbparity", "fleet", "all"] {
-        assert!(stderr.contains(known), "{known} missing from: {stderr}");
+    // Removed subcommands must fail like typos.
+    for typo in ["ckptparty", "speedup", "community"] {
+        let stderr = usage_error(&[typo]);
+        assert!(
+            stderr.contains(&format!("unknown subcommand '{typo}'")),
+            "{stderr}"
+        );
+        for known in ["ckptparity", "sbparity", "fleet", "all"] {
+            assert!(stderr.contains(known), "{known} missing from: {stderr}");
+        }
     }
 }
 

@@ -37,7 +37,7 @@ impl Hasher {
     pub fn bytes(&mut self, b: &[u8]) -> &mut Hasher {
         for &x in b {
             self.0 ^= u64::from(x);
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
         }
         self
     }
@@ -142,6 +142,13 @@ pub fn digest_community_epidemic(o: &CommunityOutcome) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hasher_is_fnv1a() {
+        // The published FNV-1a 64-bit test vectors.
+        assert_eq!(Hasher::new().finish(), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Hasher::new().str("a").finish(), 0xaf63_dc4c_8601_ec8c);
+    }
 
     #[test]
     fn hasher_is_order_sensitive_and_deterministic() {

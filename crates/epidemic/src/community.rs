@@ -1029,7 +1029,9 @@ mod tests {
         (o.t0_tick, o.infected, o.curve.clone(), o.ticks)
     }
 
-    /// FNV-1a over a curve, for compact pinning of long outcomes.
+    /// FNV-style fold over a curve, for compact pinning of long
+    /// outcomes. Its multiplier is not the FNV prime; the pinned values
+    /// below were taken with it, so it stays.
     fn curve_fnv(curve: &[u64]) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for &v in curve {
@@ -1207,6 +1209,65 @@ mod tests {
             hot.infected,
             cold.infected
         );
+    }
+
+    /// Mean infection ratio of `s` over seeds `0..runs`, serial, at tick
+    /// length `dt`.
+    fn seed_mean(s: &Scenario, dt: f64, runs: u64) -> f64 {
+        let total: f64 = (0..runs)
+            .map(|seed| {
+                run(&CommunityParams::from_scenario(
+                    s,
+                    dt,
+                    seed,
+                    Parallelism::Fixed(1),
+                ))
+                .infection_ratio
+            })
+            .sum();
+        total / runs as f64
+    }
+
+    #[test]
+    fn seed_means_track_the_ode_response_time_and_hitlist() {
+        // A scaled-down Slammer: the dynamics depend on α·N and β, so a
+        // smaller N with a larger α keeps the regime.
+        let small = |alpha: f64, gamma: f64| Scenario {
+            beta: 0.1,
+            n: 10_000.0,
+            alpha,
+            rho: 1.0,
+            gamma,
+            i0: 1.0,
+        };
+        // Stochastic, so a generous band: the same regime as the ODE,
+        // not digit agreement.
+        let s = small(0.002, 10.0);
+        let (mc, ode) = (
+            seed_mean(&s, 1.0, 30),
+            crate::model::solve(&s).infection_ratio,
+        );
+        assert!(
+            (mc - ode).abs() < 0.25,
+            "ODE {ode:.3} vs engine {mc:.3} diverge"
+        );
+        // A faster response never costs more hosts on average.
+        let fast = seed_mean(&small(0.002, 5.0), 1.0, 30);
+        let slow = seed_mean(&small(0.002, 60.0), 1.0, 30);
+        assert!(fast <= slow + 0.02, "fast {fast:.3} vs slow {slow:.3}");
+        // A hit-list worm saturates an unprotected community and is
+        // contained by proactive protection (ρ = 2⁻¹²).
+        let hot = Scenario {
+            beta: 1000.0,
+            ..small(0.001, 5.0)
+        };
+        let cold = Scenario {
+            rho: (2.0f64).powi(-12),
+            ..hot
+        };
+        let (hot_r, cold_r) = (seed_mean(&hot, 0.01, 10), seed_mean(&cold, 0.01, 10));
+        assert!(hot_r > 0.8, "unprotected hit-list saturates: {hot_r:.3}");
+        assert!(cold_r < 0.05, "protected hit-list contained: {cold_r:.3}");
     }
 
     #[test]

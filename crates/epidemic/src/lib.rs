@@ -8,7 +8,6 @@
 //!
 //! - [`model`] — RK4 integration of the ODEs plus the closed-form
 //!   logistic used to validate it.
-//! - [`agent`] — a Gillespie-style agent-based Monte-Carlo cross-check.
 //! - [`community`] — the discrete-tick community engine, shardable
 //!   across threads with a deterministic merge (bit-identical to its
 //!   serial run for the same seed).
@@ -26,9 +25,8 @@
 //!   reactor: each infection spawns counter-keyed exponential-delay
 //!   contacts instead of dense per-tick scans.
 //! - [`figures`] — the α/γ sweeps regenerating Figures 6, 7, and 8.
-//! - [`rng`] — the counter-based deterministic RNG both engines share.
+//! - [`rng`] — the counter-based deterministic RNG every engine shares.
 
-pub mod agent;
 pub mod community;
 pub mod contact;
 pub mod distnet;
@@ -38,7 +36,6 @@ pub mod model;
 pub mod rng;
 pub mod soa;
 
-pub use agent::{simulate, simulate_mean, SimOutcome};
 pub use community::{
     CommunityEngine, CommunityOutcome, CommunityParams, Parallelism, ShardStats, TickStats,
 };

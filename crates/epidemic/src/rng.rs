@@ -1,17 +1,13 @@
 //! Deterministic random-number generation for the epidemic engines.
 //!
-//! Two flavours, both built on the splitmix64 finalizer:
-//!
-//! * [`Stream`] — a sequential generator for the Gillespie agent model,
-//!   seeded once per outbreak. Replaces the external `rand` crate (the
-//!   offline build cannot fetch it) with a smaller, fully specified
-//!   generator so simulation results are reproducible across toolchains.
-//! * [`draw`] — a *counter-based* generator: every value is a pure hash
-//!   of `(seed, domain, counter)`. Because a draw does not depend on any
-//!   evolving generator state, shards of the parallel community engine
-//!   can consume draws in any order (or on any thread) and still agree
-//!   bit-for-bit with the serial engine. This is the keystone of the
-//!   deterministic-merge design.
+//! [`draw`] is a *counter-based* generator built on the splitmix64
+//! finalizer: every value is a pure hash of `(seed, domain, counter)`.
+//! Because a draw does not depend on any evolving generator state,
+//! shards of the parallel community engine can consume draws in any
+//! order (or on any thread) and still agree bit-for-bit with the serial
+//! engine. This is the keystone of the deterministic-merge design. It
+//! replaces the external `rand` crate with a fully specified generator,
+//! so results are reproducible across toolchains.
 
 /// splitmix64 finalizer: avalanche a 64-bit value.
 #[inline]
@@ -52,62 +48,9 @@ pub fn to_unit(v: u64) -> f64 {
     (v >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// A small sequential splitmix64 generator (for the Gillespie agent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stream {
-    state: u64,
-}
-
-impl Stream {
-    /// Seed deterministically.
-    pub fn seed(seed: u64) -> Stream {
-        Stream {
-            state: mix(seed ^ 0x5851_f42d_4c95_7f2d),
-        }
-    }
-
-    /// Next raw 64-bit value.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `[0, 1)`.
-    #[inline]
-    pub fn unit(&mut self) -> f64 {
-        to_unit(self.next_u64())
-    }
-
-    /// Uniform value in `[0, n)`; `n` must be nonzero.
-    #[inline]
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-
-    /// An exponentially distributed waiting time with the given rate.
-    #[inline]
-    pub fn exp(&mut self, rate: f64) -> f64 {
-        -(1.0f64 - self.unit()).ln() / rate
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stream_is_deterministic() {
-        let mut a = Stream::seed(11);
-        let mut b = Stream::seed(11);
-        for _ in 0..64 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        assert_ne!(Stream::seed(1).next_u64(), Stream::seed(2).next_u64());
-    }
 
     #[test]
     fn draw_is_order_independent() {
@@ -126,29 +69,13 @@ mod tests {
 
     #[test]
     fn unit_values_are_in_range_and_spread() {
-        let mut s = Stream::seed(3);
         let mut acc = 0.0;
         for i in 0..1000 {
-            let u = s.unit();
+            let u = draw_unit(3, 2, i);
             assert!((0.0..1.0).contains(&u));
             acc += u;
-            let c = draw_unit(3, 2, i);
-            assert!((0.0..1.0).contains(&c));
         }
         let mean = acc / 1000.0;
         assert!((mean - 0.5).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn exp_is_positive_with_sane_mean() {
-        let mut s = Stream::seed(17);
-        let mut acc = 0.0;
-        for _ in 0..2000 {
-            let x = s.exp(2.0);
-            assert!(x >= 0.0);
-            acc += x;
-        }
-        let mean = acc / 2000.0;
-        assert!((mean - 0.5).abs() < 0.1, "mean {mean}");
     }
 }

@@ -1,14 +1,16 @@
 //! Community defense against fast worms (paper §6): regenerate the
 //! epidemic figures, cross-check the analytic model against Monte-Carlo
-//! outbreaks, and plug in the *measured* antibody-generation latency to
-//! compute the end-to-end response time γ.
+//! outbreaks on the community engine, and plug in the *measured*
+//! antibody-generation latency to compute the end-to-end response time γ.
 //!
 //! ```sh
 //! cargo run --release --example community_defense
 //! ```
 
 use sweeper_repro::apps::squid;
-use sweeper_repro::epidemic::{figure6, figure7, figure8, simulate_mean, solve, Scenario};
+use sweeper_repro::epidemic::{
+    community, figure6, figure7, figure8, solve, CommunityParams, Parallelism, Scenario,
+};
 use sweeper_repro::sweeper::{Config, RequestOutcome, Sweeper};
 
 fn main() {
@@ -18,7 +20,7 @@ fn main() {
     println!("{}", figure8().render());
 
     // --- Monte-Carlo cross-check (scaled-down population). -------------
-    println!("Monte-Carlo cross-check (N = 10 000, 20 outbreaks each):");
+    println!("Monte-Carlo cross-check (community engine, N = 10 000, 20 outbreaks each):");
     println!(
         "{:>10} {:>8} {:>12} {:>12}",
         "alpha", "gamma", "ODE", "Monte-Carlo"
@@ -33,7 +35,13 @@ fn main() {
             i0: 1.0,
         };
         let ode = solve(&s).infection_ratio;
-        let mc = simulate_mean(&s, 20, 7);
+        let mc = (0..20)
+            .map(|seed| {
+                let p = CommunityParams::from_scenario(&s, 1.0, seed, Parallelism::Fixed(1));
+                community::run(&p).infection_ratio
+            })
+            .sum::<f64>()
+            / 20.0;
         println!("{alpha:>10} {gamma:>7}s {ode:>12.4} {mc:>12.4}");
     }
 

@@ -31,8 +31,9 @@
 #   bench-smoke  `tables benchjson` perf snapshot, the only stage that
 #                writes a full document: the run must succeed and the
 #                written JSON must carry the schema-v9 "superblock" AND
-#                "checkpoint" blocks; the numbers are NOT gated (commit
-#                refreshed BENCH_*.json deliberately)
+#                "checkpoint" blocks (the binary itself asserts identical
+#                community outcomes at K=1 and K=4); the numbers are NOT
+#                gated (commit refreshed BENCH_*.json deliberately)
 #   fleet-smoke  `tables fleet` at 1k hosts over a short horizon; the
 #                written JSON must carry the "fleet" block with a
 #                finite outbreak p99 and shard_invariant=true (the
@@ -49,6 +50,8 @@
 #                I12 violations, and a Domain outbreak p999 strictly
 #                below Full's (the binary itself asserts all four
 #                gates before writing)
+#   examples     every example under examples/ runs to completion in
+#                release (`cargo test` only compiles them)
 #   perfbench-smoke  the wall-clock benchmark's own smoke tests at
 #                `--size smoke` (perfbench/ is a separate Cargo
 #                workspace): every workload runs and its output checks
@@ -247,6 +250,15 @@ stage_recovery_smoke() {
     echo "schema-v9 recovery block present, I12 clean, parity holds, domain p999 $domain_p999 < full $full_p999 ms"
 }
 
+stage_examples() {
+    # Not `name`: run_stage reads that global after this returns.
+    for ex in examples/*.rs; do
+        example=$(basename "$ex" .rs)
+        echo "-- example $example"
+        cargo run --release --example "$example" || return 1
+    done
+}
+
 stage_perfbench_smoke() {
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 }
@@ -271,6 +283,7 @@ run_stage bench-smoke stage_bench_smoke
 run_stage fleet-smoke stage_fleet_smoke
 run_stage epidemic-smoke stage_epidemic_smoke
 run_stage recovery-smoke stage_recovery_smoke
+run_stage examples stage_examples
 run_stage perfbench-smoke stage_perfbench_smoke
 run_stage fig9dist stage_fig9dist
 

@@ -4,6 +4,7 @@
 
 use sweeper_repro::antibody::{verify, Verification};
 use sweeper_repro::apps::{cvs, httpd1, squid};
+use sweeper_repro::svm::loader::{Aslr, Layout};
 use sweeper_repro::sweeper::{Config, RequestOutcome, Sweeper};
 
 fn produce_antibody(
@@ -112,6 +113,40 @@ fn antibodies_transfer_across_hosts_with_different_layouts() {
             RequestOutcome::Filtered { .. } | RequestOutcome::Attack(_) => {}
             other => panic!("seed {seed}: {other:?}"),
         }
+    }
+
+    // A worm's compromise exploit is built against the nominal layout:
+    // it crashes a randomizing producer, but owns a consumer that does
+    // not randomize (rho = 1) until the producer's antibody arrives.
+    let worm = cvs::exploit_compromise(&app, &Layout::nominal()).input;
+    let mut p = Sweeper::protect(&app, Config::producer(5000)).expect("protect");
+    let analysis = match p.offer_request(worm.clone()) {
+        RequestOutcome::Attack(r) if !r.compromised => r.analysis.expect("analysis"),
+        other => panic!("randomizing producer not protected: {other:?}"),
+    };
+    let gamma1 = analysis.timings.initial_ms;
+    assert!(gamma1 < 500.0, "gamma1 {gamma1:.1} ms");
+    let unrandomized = || {
+        let mut c = Config::consumer(5001);
+        c.aslr = Aslr::off();
+        Sweeper::protect(&app, c).expect("protect")
+    };
+    match unrandomized().offer_request(worm.clone()) {
+        RequestOutcome::Attack(r) => assert!(r.compromised, "{}", r.cause),
+        other => panic!("unprotected consumer not compromised: {other:?}"),
+    }
+    let mut c = unrandomized();
+    c.deploy_antibody(&analysis.antibody);
+    match c.offer_request(worm) {
+        RequestOutcome::Filtered { .. } => {}
+        RequestOutcome::Attack(r) => {
+            assert!(
+                !r.compromised && r.cause.starts_with("vsef:"),
+                "{}",
+                r.cause
+            )
+        }
+        other => panic!("antibody missed the worm: {other:?}"),
     }
 }
 
