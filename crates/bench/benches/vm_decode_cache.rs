@@ -1,9 +1,7 @@
-//! Execution-tier benchmarks: interpreter insns/sec on the pure
-//! interpreter, the predecoded icache, and the icache + superblock
-//! stack, on a straight-line microbench and on the branchy tight loop.
-//! The PR-gate expectations (ISSUE/EXPERIMENTS): the cached
-//! straight-line rate is at least 1.5x the uncached rate, and the
-//! superblock rate at least 1.5x the icache rate on the same guest.
+//! Decode-cache benchmarks: interpreter insns/sec with the predecoded
+//! instruction cache off vs on, on a straight-line microbench and on the
+//! branchy tight loop. The expectation (EXPERIMENTS.md): the cached
+//! straight-line rate is at least 1.5x the uncached rate.
 #![allow(missing_docs)] // criterion macros generate undocumented items
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -28,11 +26,10 @@ fn tight_loop_program(iters: u32) -> (Program, u64) {
     (assemble(&src).expect("asm"), iters as u64 * 3 + 2)
 }
 
-fn run_to_halt(prog: &Program, cache: bool, superblocks: bool) -> u64 {
+fn run_to_halt(prog: &Program, cache: bool) -> u64 {
     let mut m = Machine::boot(prog, Aslr::off())
         .expect("boot")
-        .with_decode_cache(cache)
-        .with_superblocks(cache && superblocks);
+        .with_decode_cache(cache);
     assert!(matches!(m.run(&mut NopHook, u64::MAX), Status::Halted(_)));
     m.insns_retired
 }
@@ -41,9 +38,8 @@ fn bench_straight_line(c: &mut Criterion) {
     let (prog, insns) = straight_line_program(2_000);
     let mut g = c.benchmark_group("vm_decode_cache/straight_line");
     g.throughput(Throughput::Elements(insns));
-    g.bench_function("uncached", |b| b.iter(|| run_to_halt(&prog, false, false)));
-    g.bench_function("cached", |b| b.iter(|| run_to_halt(&prog, true, false)));
-    g.bench_function("superblock", |b| b.iter(|| run_to_halt(&prog, true, true)));
+    g.bench_function("uncached", |b| b.iter(|| run_to_halt(&prog, false)));
+    g.bench_function("cached", |b| b.iter(|| run_to_halt(&prog, true)));
     g.finish();
 }
 
@@ -51,9 +47,8 @@ fn bench_tight_loop(c: &mut Criterion) {
     let (prog, insns) = tight_loop_program(30_000);
     let mut g = c.benchmark_group("vm_decode_cache/tight_loop");
     g.throughput(Throughput::Elements(insns));
-    g.bench_function("uncached", |b| b.iter(|| run_to_halt(&prog, false, false)));
-    g.bench_function("cached", |b| b.iter(|| run_to_halt(&prog, true, false)));
-    g.bench_function("superblock", |b| b.iter(|| run_to_halt(&prog, true, true)));
+    g.bench_function("uncached", |b| b.iter(|| run_to_halt(&prog, false)));
+    g.bench_function("cached", |b| b.iter(|| run_to_halt(&prog, true)));
     g.finish();
 }
 
@@ -99,15 +94,6 @@ buf: .space 16
     let prog = assemble(src).expect("asm");
     let mut g = c.benchmark_group("vm_decode_cache/smc_rewrite");
     g.bench_function("cached", |b| {
-        b.iter(|| {
-            let mut m = Machine::boot(&prog, Aslr::off())
-                .expect("boot")
-                .with_decode_cache(true)
-                .with_superblocks(false);
-            m.run(&mut NopHook, u64::MAX)
-        })
-    });
-    g.bench_function("superblock", |b| {
         b.iter(|| {
             let mut m = Machine::boot(&prog, Aslr::off())
                 .expect("boot")

@@ -16,10 +16,9 @@
 //!   Figure-7-style run printing the per-shard counter report (hosts
 //!   infected, antibodies applied, events exchanged, phase wall-clock).
 //! * `benchjson [--hosts=N] [--seed=S] [--out=F]` — quick fixed-iteration
-//!   perf snapshot: interpreter insns/sec on all three execution tiers
-//!   (interpreter / icache / icache + superblocks, tight-loop and
-//!   straight-line guests), community-engine tick rates at K = 1 and
-//!   K = 4, the chaos differential sweep (skipped with an explicit
+//!   perf snapshot: interpreter insns/sec with the decode cache off
+//!   and on (tight-loop guest), community-engine tick rates at K = 1
+//!   and K = 4, the chaos differential sweep (skipped with an explicit
 //!   marker on 1-core hosts), plus the `fig9dist` distribution-network
 //!   sweep and the `ckptcadence` checkpoint-overhead sweep — written
 //!   machine-readably to `--out`. Asserts that K = 1 and K = 4 give the
@@ -56,9 +55,6 @@
 //!   Writes the `"epidemic1m"` block to `--out`; with `--full` it is
 //!   attached to a fresh full snapshot instead of an epidemic-only
 //!   document.
-//! * `sbparity` — superblock parity smoke: run a benign workload on all
-//!   four guests on every execution tier and require bit-identical
-//!   observable state (CI gate; exits nonzero on divergence).
 //! * `ckptparity` — checkpoint parity smoke: drive all four guests
 //!   (benign load + the canonical exploit) under the differential
 //!   snapshot engine and round-trip every retained checkpoint; any
@@ -197,7 +193,6 @@ const SUBCOMMANDS: &[&str] = &[
     "benchjson",
     "fleet",
     "fleetrecover",
-    "sbparity",
     "ckptparity",
     "ckptcadence",
     "fig9fail",
@@ -304,13 +299,6 @@ fn main() {
         );
         println!("{}\n", bench::perf::render_recovery_block(&block));
         flags.write_block("recovery", block, |r, b| r.recovery = Some(b));
-    }
-    if which == "sbparity" {
-        println!("superblock parity smoke (all guests, all execution tiers):");
-        for line in bench::perf::superblock_parity_smoke() {
-            println!("  {line}");
-        }
-        println!("sbparity: OK\n");
     }
     if which == "ckptparity" {
         println!("checkpoint parity smoke (all guests, differential engine):");

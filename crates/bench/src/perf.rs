@@ -15,7 +15,7 @@
 use svm::asm::assemble;
 use svm::clock::insns_per_sec;
 use svm::loader::Aslr;
-use svm::{CacheStats, Machine, NopHook, SbStats, Status};
+use svm::{CacheStats, Machine, NopHook, Status};
 
 use epidemic::community::CommunityParams;
 use epidemic::{CommunityEngine, DistNetParams, FailContParams, Parallelism};
@@ -23,7 +23,7 @@ use epidemic::{CommunityEngine, DistNetParams, FailContParams, Parallelism};
 use crate::driver::{cadence_sweep, CadenceCell};
 
 /// The schema every `BENCH_*.json` document declares.
-const SCHEMA: &str = "sweeper-bench-v9";
+const SCHEMA: &str = "sweeper-bench-v10";
 
 /// A JSON value as the BENCH writer prints it. A scalar is held as its
 /// printed text: the [`ToJson`] impls below own number formatting and
@@ -219,8 +219,6 @@ pub struct VmRate {
     pub insns_per_sec: f64,
     /// Decode-cache counters at the end of the fastest rep.
     pub stats: CacheStats,
-    /// Superblock-tier counters at the end of the fastest rep.
-    pub sb_stats: SbStats,
 }
 
 impl ToJson for VmRate {
@@ -232,30 +230,23 @@ impl ToJson for VmRate {
             "cache_hits": self.stats.hits,
             "cache_misses": self.stats.misses,
             "cache_invalidations": self.stats.invalidations,
-            "sb_dispatches": self.sb_stats.dispatches,
-            "sb_insns": self.sb_stats.insns,
-            "sb_bailouts": self.sb_stats.bailouts,
         })
     }
 }
 
 json_struct! {
-    /// One guest measured on all three execution tiers (the `"vm"` and
-    /// `"vm_straight"` blocks).
+    /// One guest measured with the decode cache off and on (the `"vm"`
+    /// block).
     #[derive(Debug, Clone)]
     pub struct VmBlock {
-        /// Instructions retired per rep (identical on every tier).
+        /// Instructions retired per rep (identical either way).
         pub loop_insns: u64,
         /// Pure interpreter.
         pub uncached: VmRate,
-        /// Predecoded icache only.
+        /// Predecoded icache.
         pub cached: VmRate,
-        /// Full stack: icache + superblock tier.
-        pub superblock: VmRate,
         /// `cached.insns_per_sec / uncached.insns_per_sec`.
         pub cached_over_uncached: f64,
-        /// `superblock.insns_per_sec / cached.insns_per_sec`.
-        pub superblock_over_cached: f64,
     }
 }
 
@@ -1074,12 +1065,8 @@ pub fn render_epidemic_block(b: &Epidemic1mBlock) -> String {
 pub struct PerfReport {
     /// Host cores visible to the process (1 on the CI container).
     pub cores: usize,
-    /// The branch-dense tight-loop guest on all three tiers.
+    /// The branch-dense tight-loop guest, decode cache off and on.
     pub vm: VmBlock,
-    /// The straight-line guest on all three tiers; its
-    /// `superblock_over_cached` is the headline number for the
-    /// superblock tier (acceptance: ≥ 1.5).
-    pub vm_straight: VmBlock,
     /// The community engine at K = 1 vs K = 4.
     pub community: CommunityBlock,
     /// The chaos differential sweep (always present; see [`ChaosSweep`]).
@@ -1101,49 +1088,28 @@ pub struct PerfReport {
     /// fleetrecover --full` attaches it.
     pub recovery: Option<RecoveryBlock>,
     /// Observability snapshot gathered during the quick pass: the
-    /// tight-loop superblock run's machine counters merged with the
+    /// tight-loop icache run's machine counters merged with the
     /// K = 1 community run's simulation counters.
     pub obs: obs::MetricsRegistry,
 }
 
-/// The tight-loop guest: branch-dense, so the icache dominates and
-/// superblocks have little straight-line run to fuse.
+/// The tight-loop guest: branch-dense, so dispatch cost dominates.
 fn tight_src(loop_iters: u32) -> String {
     format!(
         ".text\nmain:\n movi r1, {loop_iters}\nloop:\n subi r1, r1, 1\n cmpi r1, 0\n jnz loop\n halt\n"
     )
 }
 
-/// The straight-line-heavy guest: 64 unrolled `addi`s per loop-control
-/// triple (67 insns between branches), the workload the superblock tier
-/// is built for. Mirrors `benches/vm_decode_cache.rs`.
-fn straight_src(loop_iters: u32) -> String {
-    let mut src = format!(".text\nmain:\n movi r1, {loop_iters}\nloop:\n");
-    for _ in 0..64 {
-        src.push_str(" addi r0, r0, 1\n");
-    }
-    src.push_str(" subi r1, r1, 1\n cmpi r1, 0\n jnz loop\n halt\n");
-    src
-}
-
 /// Measure interpreter throughput of the guest `src`, taking the
 /// fastest of `reps` runs (boot excluded from timing), and export that
-/// rep's machine counters. `cache` enables the predecoded icache;
-/// `superblocks` additionally enables the superblock tier (ignored when
-/// `cache` is off).
-pub fn vm_rate(
-    src: &str,
-    cache: bool,
-    superblocks: bool,
-    reps: u32,
-) -> (VmRate, obs::MetricsRegistry) {
+/// rep's machine counters. `cache` enables the predecoded icache.
+pub fn vm_rate(src: &str, cache: bool, reps: u32) -> (VmRate, obs::MetricsRegistry) {
     let prog = assemble(src).expect("asm");
     let mut best: Option<(VmRate, obs::MetricsRegistry)> = None;
     for _ in 0..reps.max(1) {
         let mut m = Machine::boot(&prog, Aslr::off())
             .expect("boot")
-            .with_decode_cache(cache)
-            .with_superblocks(cache && superblocks);
+            .with_decode_cache(cache);
         let start = std::time::Instant::now();
         let status = m.run(&mut NopHook, u64::MAX);
         let wall = start.elapsed().as_secs_f64();
@@ -1153,7 +1119,6 @@ pub fn vm_rate(
             wall_secs: wall,
             insns_per_sec: insns_per_sec(m.insns_retired, wall),
             stats: m.icache_stats(),
-            sb_stats: m.superblock_stats(),
         };
         if best.as_ref().is_none_or(|(b, _)| wall < b.wall_secs) {
             let mut reg = obs::MetricsRegistry::new();
@@ -1164,19 +1129,16 @@ pub fn vm_rate(
     best.expect("reps >= 1")
 }
 
-/// Measure the guest `src` on all three tiers (best of 3 each),
-/// returning the block and the superblock run's machine counters.
+/// Measure the guest `src` with the decode cache off and on (best of 3
+/// each), returning the block and the cached run's machine counters.
 fn vm_block(src: &str) -> (VmBlock, obs::MetricsRegistry) {
-    let (uncached, _) = vm_rate(src, false, false, 3);
-    let (cached, _) = vm_rate(src, true, false, 3);
-    let (superblock, metrics) = vm_rate(src, true, true, 3);
+    let (uncached, _) = vm_rate(src, false, 3);
+    let (cached, metrics) = vm_rate(src, true, 3);
     let block = VmBlock {
         loop_insns: uncached.insns,
         cached_over_uncached: ratio(cached.insns_per_sec, uncached.insns_per_sec),
-        superblock_over_cached: ratio(superblock.insns_per_sec, cached.insns_per_sec),
         uncached,
         cached,
-        superblock,
     };
     (block, metrics)
 }
@@ -1251,8 +1213,8 @@ fn chaos_sweep(seed: u64, cores: usize) -> ChaosSweep {
     }
 }
 
-/// Run the whole quick pass: VM rates on all three execution tiers
-/// (tight-loop and straight-line guests), the community engine at K = 1
+/// Run the whole quick pass: VM rates with the decode cache off and on
+/// (tight-loop guest), the community engine at K = 1
 /// and K = 4, the chaos differential sweep, and the distnet sweep.
 pub fn measure(hosts: u64, seed: u64, vm_loop_iters: u32) -> PerfReport {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1264,9 +1226,6 @@ pub fn measure(hosts: u64, seed: u64, vm_loop_iters: u32) -> PerfReport {
 /// branch and vice versa).
 pub fn measure_with_cores(hosts: u64, seed: u64, vm_loop_iters: u32, cores: usize) -> PerfReport {
     let (vm, mut obs) = vm_block(&tight_src(vm_loop_iters));
-    // Straight-line guest: scale iterations down so total retired insns
-    // stay comparable to the tight loop (67 insns per iteration vs 3).
-    let (vm_straight, _) = vm_block(&straight_src((vm_loop_iters / 22).max(8)));
     let (k1, k1_obs) = community_rate(hosts, 1, seed);
     let (k4, _) = community_rate(hosts, 4, seed);
     obs.merge(&k1_obs);
@@ -1300,7 +1259,6 @@ pub fn measure_with_cores(hosts: u64, seed: u64, vm_loop_iters: u32, cores: usiz
     PerfReport {
         cores,
         vm,
-        vm_straight,
         community,
         chaos,
         distnet,
@@ -1359,7 +1317,6 @@ impl PerfReport {
         document(fields! {
             "cores": self.cores,
             "vm": self.vm,
-            "vm_straight": self.vm_straight,
             "community": self.community,
             "chaos": self.chaos,
             "distnet": self.distnet,
@@ -1373,16 +1330,6 @@ impl PerfReport {
 
     /// Human-readable summary (what `tables benchjson` prints).
     pub fn render(&self) -> String {
-        let tiers = |b: &VmBlock| {
-            format!(
-                "{:>12.0} insns/s uncached | {:>12.0} icache -> {:.2}x | {:>12.0} superblock -> {:.2}x",
-                b.uncached.insns_per_sec,
-                b.cached.insns_per_sec,
-                b.cached_over_uncached,
-                b.superblock.insns_per_sec,
-                b.superblock_over_cached,
-            )
-        };
         let unverified: u64 = self
             .distnet
             .cells
@@ -1432,15 +1379,15 @@ impl PerfReport {
             None => "\nrecovery    : SKIPPED (run tables fleetrecover)".to_string(),
         };
         format!(
-            "interpreter : {}\n\
-             straight    : {}\n\
+            "interpreter : {:>12.0} insns/s uncached | {:>12.0} icache -> {:.2}x\n\
              community   : K=1 {:.3} s ({:.0} ticks/s) | K=4 {:.3} s ({:.0} ticks/s) -> {:.2}x [{}]\n\
              outcomes    : identical across K = {}\n\
              chaos       : {} cases, {} execs, {} violations [{}]\n\
              distnet     : {} fig9dist cells over {} hosts, {} unverified deployments (I8) [{}]\n\
              checkpoint  : incremental {:.4}% vs full {:.4}% @ 200 ms ({} requests) [{}]{fleet_line}{epi_line}{recovery_line}",
-            tiers(&self.vm),
-            tiers(&self.vm_straight),
+            self.vm.uncached.insns_per_sec,
+            self.vm.cached.insns_per_sec,
+            self.vm.cached_over_uncached,
             self.community.k1.wall_secs,
             self.community.k1.ticks_per_sec,
             self.community.k4.wall_secs,
@@ -1462,80 +1409,6 @@ impl PerfReport {
             self.checkpoint.status,
         )
     }
-}
-
-/// The superblock parity smoke behind `tables sbparity`: run a benign
-/// workload on all four Table 1 guests on every execution tier
-/// (interpreter, icache only, icache + superblocks) and require
-/// bit-identical observable state. Returns one summary line per guest;
-/// panics on any divergence (CI treats the panic as the gate failing).
-pub fn superblock_parity_smoke() -> Vec<String> {
-    use apps::{cvs, httpd1, httpd2, squid, App};
-    use svm::loader::Layout;
-
-    fn run_tier(app: &App, inputs: &[Vec<u8>], cache: bool, sb: bool) -> (u64, u64, u32, u64) {
-        let mut m = app
-            .boot_at(Layout::nominal())
-            .expect("boot")
-            .with_decode_cache(cache)
-            .with_superblocks(cache && sb);
-        for i in inputs {
-            m.net.push_connection(i.clone());
-        }
-        let status = m.run(&mut NopHook, 400_000_000);
-        assert!(!matches!(status, Status::Running), "must finish");
-        (
-            m.insns_retired,
-            m.clock.cycles(),
-            m.cpu.pc,
-            m.superblock_stats().dispatches,
-        )
-    }
-
-    let guests: Vec<(&str, App, Vec<Vec<u8>>)> = vec![
-        (
-            "httpd1",
-            httpd1::app().expect("app"),
-            vec![httpd1::benign_request("index.html")],
-        ),
-        (
-            "httpd2",
-            httpd2::app().expect("app"),
-            vec![httpd2::benign_request("ok.html", None)],
-        ),
-        (
-            "cvs",
-            cvs::app().expect("app"),
-            vec![cvs::benign_session(&["x"])],
-        ),
-        (
-            "squid",
-            squid::app().expect("app"),
-            vec![squid::benign_request("bob", "example.com")],
-        ),
-    ];
-    let mut lines = Vec::new();
-    for (name, app, inputs) in &guests {
-        let interp = run_tier(app, inputs, false, false);
-        let icache = run_tier(app, inputs, true, false);
-        let full = run_tier(app, inputs, true, true);
-        assert_eq!(
-            (interp.0, interp.1, interp.2),
-            (icache.0, icache.1, icache.2),
-            "{name}: icache tier diverged"
-        );
-        assert_eq!(
-            (interp.0, interp.1, interp.2),
-            (full.0, full.1, full.2),
-            "{name}: superblock tier diverged"
-        );
-        assert!(full.3 > 0, "{name}: superblock tier never engaged");
-        lines.push(format!(
-            "{name:>7}: {} insns, {} cycles, {} superblock dispatches — all tiers bit-identical",
-            full.0, full.1, full.3
-        ));
-    }
-    lines
 }
 
 /// The checkpoint parity smoke behind `tables ckptparity`: drive a
@@ -1641,27 +1514,11 @@ mod tests {
     #[test]
     fn vm_rate_counts_cache_activity() {
         let tight = tight_src(500);
-        let (off, _) = vm_rate(&tight, false, false, 1);
-        let (on, _) = vm_rate(&tight, true, false, 1);
-        let (sb, _) = vm_rate(&tight, true, true, 1);
+        let (off, _) = vm_rate(&tight, false, 1);
+        let (on, _) = vm_rate(&tight, true, 1);
         assert_eq!(off.insns, on.insns, "same program, same retire count");
-        assert_eq!(off.insns, sb.insns, "superblock tier retires identically");
         assert_eq!(off.stats, CacheStats::default(), "disabled cache is inert");
         assert!(on.stats.hits > 0, "enabled cache serves hits");
-        assert_eq!(on.sb_stats, SbStats::default(), "sb off leaves tier inert");
-        // The tight loop's 2-insn body is below the minimum fusion
-        // length: the tier probes and caches it but hands it back to
-        // the icache, so branch-dense code never pays block-dispatch
-        // overhead (the pre-threshold tier ran it 0.82x of icache).
-        // Only the one-shot boot prologue (movi + fall-through body)
-        // is long enough to fuse, hence at most one dispatch.
-        assert!(sb.sb_stats.dispatches <= 1, "short blocks stay on icache");
-        assert!(sb.sb_stats.bypasses > 0, "probed and cached as bypasses");
-        let (straight, _) = vm_rate(&straight_src(40), true, true, 1);
-        assert!(
-            straight.sb_stats.dispatches > 0,
-            "straight-line guest dispatches fused blocks"
-        );
         assert!(on.insns_per_sec > 0.0 && off.insns_per_sec > 0.0);
     }
 
@@ -1674,22 +1531,15 @@ mod tests {
         );
         let json = r.to_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"schema\": \"sweeper-bench-v9\""));
+        assert!(json.contains("\"schema\": \"sweeper-bench-v10\""));
         assert!(
             json.contains("\"recovery\": {\"status\": \"SKIPPED (run tables fleetrecover)\"}"),
             "the quick pass marks the recovery block skipped, never drops it"
         );
         assert!(json.contains("\"cached_over_uncached\""));
-        assert!(json.contains("\"superblock_over_cached\""));
-        assert!(json.contains("\"vm_straight\""));
         assert!(json.contains("\"speedup_status\""));
-        // All three tiers retired the same instruction stream.
-        assert_eq!(r.vm.uncached.insns, r.vm.superblock.insns);
-        assert_eq!(r.vm_straight.uncached.insns, r.vm_straight.superblock.insns);
-        assert!(
-            r.vm_straight.superblock.sb_stats.insns > 0,
-            "superblock tier executed the straight-line guest"
-        );
+        // Both tiers retired the same instruction stream.
+        assert_eq!(r.vm.uncached.insns, r.vm.cached.insns);
         // The distnet block is present and populated.
         assert!(json.contains("\"distnet\""));
         assert!(json.contains("\"deployed_unverified\""));
@@ -1830,7 +1680,7 @@ mod tests {
     }
 
     const GOLDEN_FLEET_SMOKE: &str = r#"{
-  "schema": "sweeper-bench-v9",
+  "schema": "sweeper-bench-v10",
   "fleet": {
     "status": "ok",
     "hosts": 5,
@@ -1854,7 +1704,7 @@ mod tests {
 "#;
 
     const GOLDEN_RECOVERY_SMOKE: &str = r#"{
-  "schema": "sweeper-bench-v9",
+  "schema": "sweeper-bench-v10",
   "recovery": {
     "status": "ok",
     "hosts": 5,
@@ -1917,7 +1767,7 @@ mod tests {
         assert_eq!(
             json,
             r#"{
-  "schema": "sweeper-bench-v9",
+  "schema": "sweeper-bench-v10",
   "finite": 0.500000,
   "nan": null,
   "inf": null,

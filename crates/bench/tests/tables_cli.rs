@@ -19,13 +19,13 @@ fn usage_error(args: &[&str]) -> String {
 #[test]
 fn unknown_subcommand_exits_2_and_lists_the_known_ones() {
     // Removed subcommands must fail like typos.
-    for typo in ["ckptparty", "speedup", "community"] {
+    for typo in ["ckptparty", "speedup", "community", "sbparity"] {
         let stderr = usage_error(&[typo]);
         assert!(
             stderr.contains(&format!("unknown subcommand '{typo}'")),
             "{stderr}"
         );
-        for known in ["ckptparity", "sbparity", "fleet", "all"] {
+        for known in ["ckptparity", "fleet", "all"] {
             assert!(stderr.contains(known), "{known} missing from: {stderr}");
         }
     }

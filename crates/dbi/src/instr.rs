@@ -409,21 +409,16 @@ mod tests {
     }
 
     #[test]
-    fn mid_attach_after_superblock_dispatch_sees_every_instruction() {
-        // Warm the superblock tier on the passive fast path, then attach a
-        // tool between dispatches. Liveness is re-checked before every
-        // dispatch, so the attach must force the precise per-instruction
-        // path for the whole remaining run — no block may retire
-        // uninstrumented instructions.
+    fn mid_attach_after_passive_run_sees_every_instruction() {
+        // Run a bounded burst on the passive fast path, then attach a
+        // tool between `run` calls. Liveness is re-checked before every
+        // instruction, so the tool must see the whole remaining run.
         let mut m = boot(
             ".text\nmain:\n movi r1, 500\nloop:\n addi r0, r0, 1\n \
              addi r0, r0, 1\n subi r1, r1, 1\n cmpi r1, 0\n jnz loop\n halt\n",
         );
-        assert!(m.superblocks_enabled());
         let mut ins = Instrumenter::new();
         assert!(m.run(&mut ins, 1_000).is_running(), "bounded warm-up burst");
-        let warmed = m.superblock_stats();
-        assert!(warmed.dispatches > 0, "tier engaged while passive");
         let before = m.insns_retired;
         let id = ins.attach(Box::new(Counter::new(Watch::All, 0)));
         assert!(matches!(m.run(&mut ins, u64::MAX), Status::Halted(_)));
@@ -432,11 +427,6 @@ mod tests {
             ins.get::<Counter>(id).expect("tool").insns,
             tail,
             "tool saw every instruction retired after the attach"
-        );
-        assert_eq!(
-            m.superblock_stats().dispatches,
-            warmed.dispatches,
-            "no superblock dispatched while a tool was live"
         );
     }
 

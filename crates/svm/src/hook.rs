@@ -27,14 +27,6 @@ pub trait Hook {
     /// machine between the fast path and the fully hooked path — this
     /// is what keeps mid-execution attach working with the predecoded
     /// instruction cache enabled.
-    ///
-    /// The superblock tier leans on the same contract, one level up:
-    /// [`Machine::run`](crate::machine::Machine::run) re-asks
-    /// `is_passive` before **every block dispatch** (never caching the
-    /// answer on the machine), and no hook code runs inside a block, so
-    /// an attach between dispatches always lands before the next
-    /// instruction — the tier can never skip an instruction a
-    /// freshly-attached tool was owed.
     fn is_passive(&self) -> bool {
         false
     }

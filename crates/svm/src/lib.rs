@@ -16,10 +16,6 @@
 //!   crate turns into PIN-style dynamic instrumentation;
 //! - a predecoded-page instruction cache ([`icache`]) that accelerates the
 //!   dispatch loop while staying bit-identical to word-at-a-time decode;
-//! - a superblock execution tier ([`superblock`]) above the icache that
-//!   fuses straight-line decoded runs into closure chains dispatched as
-//!   one unit while no instrumentation hook is live, again bit-identical
-//!   by construction;
 //! - a virtual clock with an explicit cost model ([`clock`]) so overhead
 //!   experiments are deterministic.
 //!
@@ -43,10 +39,8 @@ pub mod mem;
 pub mod net;
 pub mod rng;
 pub mod stdlib;
-pub mod superblock;
 
 pub use error::{Access, Fault, SvmError};
 pub use hook::{Hook, NopHook};
 pub use icache::{CacheStats, DecodeCache};
 pub use machine::{Machine, Status};
-pub use superblock::{SbCache, SbStats};

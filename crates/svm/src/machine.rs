@@ -18,7 +18,6 @@ use crate::loader::{self, Aslr, Layout, SymbolMap};
 use crate::mem::Mem;
 use crate::net::{BlockedOn, NetState};
 use crate::rng::XorShift64;
-use crate::superblock::{SbCache, SbCtx, SbStats};
 
 /// Execution status after a step or run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,13 +67,6 @@ pub struct Machine {
     /// Predecoded-page instruction cache (cold after any clone, so
     /// checkpoints and rollbacks never inherit decode state).
     icache: DecodeCache,
-    /// Superblock cache, the execution tier above the decode cache
-    /// (also cold after any clone). The machine holds no other hook
-    /// state: whether the superblock fast path may run is re-derived
-    /// from `Hook::is_passive` on every dispatch, never cached, so a
-    /// clone whose hook goes live before its first step still delivers
-    /// its very first instruction to that hook.
-    sblocks: SbCache,
 }
 
 impl Machine {
@@ -105,7 +97,6 @@ impl Machine {
             syscalls_retired: 0,
             status: Status::Running,
             icache: DecodeCache::new(true),
-            sblocks: SbCache::new(true),
         })
     }
 
@@ -129,21 +120,14 @@ impl Machine {
     /// yields the pre-cache interpreter (useful for differential parity
     /// testing and the `vm_decode_cache` benchmarks). The cache is **on**
     /// by default and is bit-identical to the slow path by construction.
-    ///
-    /// The knob selects the whole accelerated stack: it also sets the
-    /// superblock tier, so `false` drops to the pure word-at-a-time
-    /// interpreter. Refine with [`Machine::with_superblocks`] *after*
-    /// this call for the icache-only middle tier.
     pub fn with_decode_cache(mut self, enabled: bool) -> Machine {
         self.set_decode_cache(enabled);
         self
     }
 
-    /// Enable/disable the predecoded instruction cache in place (also
-    /// sets the superblock tier; see [`Machine::with_decode_cache`]).
+    /// Enable/disable the predecoded instruction cache in place.
     pub fn set_decode_cache(&mut self, enabled: bool) {
         self.icache.set_enabled(enabled);
-        self.sblocks.set_enabled(enabled);
     }
 
     /// Whether the predecoded instruction cache is enabled.
@@ -151,40 +135,9 @@ impl Machine {
         self.icache.enabled()
     }
 
-    /// Builder-style superblock-tier knob, applied on top of the decode
-    /// cache: `with_decode_cache(true).with_superblocks(false)` is the
-    /// icache-only middle tier. The tier is **on** by default and is
-    /// bit-identical to per-instruction execution by construction.
-    pub fn with_superblocks(mut self, enabled: bool) -> Machine {
-        self.sblocks.set_enabled(enabled);
-        self
-    }
-
-    /// Enable/disable the superblock tier in place.
-    pub fn set_superblocks(&mut self, enabled: bool) {
-        self.sblocks.set_enabled(enabled);
-    }
-
-    /// Whether the superblock execution tier is enabled.
-    pub fn superblocks_enabled(&self) -> bool {
-        self.sblocks.enabled()
-    }
-
     /// Hit/miss/invalidation counters of the decode cache.
-    ///
-    /// Deliberately excludes superblock-tier activity: both tiers
-    /// observe the same dirtying events (a rollback flush and a
-    /// write-generation bump to the same page in one step, say), and a
-    /// merged counter would double-count that single event. Use
-    /// [`Machine::superblock_stats`] for the tier-2 counters.
     pub fn icache_stats(&self) -> CacheStats {
         self.icache.stats()
-    }
-
-    /// Dispatch/retire/invalidation counters of the superblock tier
-    /// (kept separate from [`Machine::icache_stats`]; see there).
-    pub fn superblock_stats(&self) -> SbStats {
-        self.sblocks.stats()
     }
 
     /// Export this machine's execution counters into an
@@ -204,14 +157,6 @@ impl Machine {
         reg.set_counter("svm.icache.invalidations", st.invalidations);
         reg.set_counter("svm.icache.bypasses", st.bypasses);
         reg.set_counter("svm.icache.flushes", st.flushes);
-        let sb = self.sblocks.stats();
-        reg.set_counter("svm.superblock.built", sb.built);
-        reg.set_counter("svm.superblock.dispatches", sb.dispatches);
-        reg.set_counter("svm.superblock.insns", sb.insns);
-        reg.set_counter("svm.superblock.invalidations", sb.invalidations);
-        reg.set_counter("svm.superblock.bailouts", sb.bailouts);
-        reg.set_counter("svm.superblock.bypasses", sb.bypasses);
-        reg.set_counter("svm.superblock.flushes", sb.flushes);
         reg.set_counter("svm.mem.write_seq", self.mem.write_seq());
         reg.set_counter("svm.heap.allocs", self.heap.allocs);
         reg.set_counter("svm.heap.frees", self.heap.frees);
@@ -226,18 +171,13 @@ impl Machine {
         );
     }
 
-    /// Drop every predecoded page *and* every compiled superblock.
+    /// Drop every predecoded page.
     ///
     /// Required after any out-of-band replacement of this machine's
     /// memory or layout (checkpoint restore does this via `Clone`, which
     /// is already cold; call it explicitly if you swap `mem` by hand).
-    /// Both tiers flush together so rollback can never leave stale fused
-    /// blocks behind a fresh decode cache; each tier records the flush
-    /// in its *own* stats (count-once: one event, one counter per tier,
-    /// never summed — see [`Machine::icache_stats`]).
     pub fn flush_decode_cache(&mut self) {
         self.icache.flush();
-        self.sblocks.flush();
     }
 
     /// Clear a `Blocked` status so stepping retries the blocked syscall
@@ -273,122 +213,14 @@ impl Machine {
     ///
     /// Returns the final status; on cycle exhaustion the status remains
     /// `Running` (the machine is preemptible).
-    ///
-    /// While the hook reports itself passive, whole superblocks are
-    /// dispatched through the tier-2 fast path (`svm::superblock`);
-    /// liveness is re-checked before *every* dispatch — never cached on
-    /// the machine — so a tool attached mid-execution (or on a fresh
-    /// clone) observes every subsequent instruction through the
-    /// per-instruction path below. Superblock execution is bit-identical
-    /// to per-instruction execution: same state, faults, cycle
-    /// accounting, and preemption points.
     pub fn run(&mut self, hook: &mut dyn Hook, max_cycles: u64) -> Status {
         let deadline = self.clock.cycles().saturating_add(max_cycles);
-        // Superblock entries are control-transfer targets by
-        // construction (blocks end at terminators), so the cache is
-        // probed at the start of the run and after every non-sequential
-        // pc move. Sequentially-advancing stretches — exactly the runs
-        // the tier declined to fuse — skip the probe per instruction
-        // instead of paying a guaranteed miss on every step.
-        let mut at_entry = true;
-        // The entry the tier most recently declined, valid while the
-        // memory write sequence is unchanged (identical memory means an
-        // identical answer). A branch-dense loop whose short body the
-        // tier hands back therefore runs at full icache speed instead
-        // of re-probing its entry every iteration. Skipping a probe is
-        // always safe: it only means the per-instruction path runs.
-        let mut no_fuse: Option<(u32, u64)> = None;
         loop {
-            let probe = at_entry
-                && self.status.is_running()
-                && self.sblocks.enabled()
-                && hook.is_passive()
-                && no_fuse != Some((self.cpu.pc, self.mem.write_seq()));
-            if probe {
-                if self.exec_superblock(deadline) {
-                    if !self.status.is_running() || self.clock.cycles() >= deadline {
-                        return self.status;
-                    }
-                    continue;
-                }
-                no_fuse = Some((self.cpu.pc, self.mem.write_seq()));
-            }
-            let pre = self.cpu.pc;
             let s = self.step_hooked(hook);
             if !s.is_running() || self.clock.cycles() >= deadline {
                 return s;
             }
-            at_entry = self.cpu.pc != pre.wrapping_add(INSN_SIZE);
         }
-    }
-
-    /// Dispatch one superblock at the current pc. Returns `false` when
-    /// the tier has nothing to offer here (no block, terminator at the
-    /// entry, bypass) and the caller should take one per-instruction
-    /// step instead. On `true`, at least one instruction was retired and
-    /// the machine state (cpu, clock, counters, status) is exactly what
-    /// per-instruction execution of the same run would have produced.
-    fn exec_superblock(&mut self, deadline: u64) -> bool {
-        let entry = self.cpu.pc;
-        let Some(blk) = self.sblocks.lookup(&self.mem, &self.layout, entry) else {
-            return false;
-        };
-        let mut ctx = SbCtx {
-            regs: self.cpu.regs,
-            flags: self.cpu.flags,
-            mem: &mut self.mem,
-            clock: &mut self.clock,
-            pc: entry,
-            stack_base: self.layout.stack_top - self.layout.stack_size,
-            stack_top: self.layout.stack_top,
-        };
-        let mut retired = 0u64;
-        let mut done = 0u32;
-        let mut fault: Option<Fault> = None;
-        let mut bailed = false;
-        for op in blk.ops.iter() {
-            ctx.pc = entry + done * INSN_SIZE;
-            retired += 1;
-            ctx.clock.tick(cost::INSN);
-            match op(&mut ctx) {
-                Ok(stored) => {
-                    done += 1;
-                    // Self-modifying code: if the store dirtied the
-                    // block's own page, the remaining fused ops may be
-                    // stale — commit and bail to the interpreter, which
-                    // (re)validates lazily, exactly like the icache.
-                    if stored && ctx.mem.page_gen(blk.pno) != blk.gen {
-                        bailed = true;
-                        break;
-                    }
-                    // Same preemption point the interpreter's run loop
-                    // checks after every instruction.
-                    if ctx.clock.cycles() >= deadline {
-                        break;
-                    }
-                }
-                Err(f) => {
-                    fault = Some(f);
-                    break;
-                }
-            }
-        }
-        // Write the locally-cached registers back at the block exit.
-        let fault_pc = ctx.pc;
-        self.cpu.regs = ctx.regs;
-        self.cpu.flags = ctx.flags;
-        self.insns_retired += retired;
-        match fault {
-            // Freeze at the faulting pc with the faulting instruction
-            // counted — identical to `exec_one`'s fault semantics.
-            Some(f) => {
-                self.cpu.pc = fault_pc;
-                self.status = Status::Faulted(f);
-            }
-            None => self.cpu.pc = entry + done * INSN_SIZE,
-        }
-        self.sblocks.note_dispatch(retired, bailed);
-        true
     }
 
     fn exec_one(&mut self, pc: u32, hook: &mut dyn Hook) -> Result<Status, Fault> {

@@ -23,14 +23,12 @@
 #                smoke, so once-interesting fault mixes stay covered
 #   chaos-smoke  200 seeded fault-injection + differential fuzz cases
 #                across all four guests, zero violations required
-#   sbparity     superblock parity: all guests on every execution tier
-#                must stay bit-identical
 #   ckptparity   checkpoint parity: the incremental snapshot engine
 #                must reconstruct bit-identically to the full-copy
 #                oracle on every guest (differential engine lockstep)
 #   bench-smoke  `tables benchjson` perf snapshot, the only stage that
 #                writes a full document: the run must succeed and the
-#                written JSON must carry the schema-v9 "superblock" AND
+#                written JSON must carry the schema-v10 "vm" AND
 #                "checkpoint" blocks (the binary itself asserts identical
 #                community outcomes at K=1 and K=4); the numbers are NOT
 #                gated (commit refreshed BENCH_*.json deliberately)
@@ -144,32 +142,29 @@ stage_chaos_smoke() {
     cargo run --release -p chaos -- --smoke
 }
 
-stage_sbparity() {
-    cargo run --release -p bench --bin tables -- sbparity
-}
-
 stage_ckptparity() {
     cargo run --release -p bench --bin tables -- ckptparity
 }
 
 stage_bench_smoke() {
     # Gated: the run must succeed, and the snapshot must declare the
-    # current schema and carry both tier blocks. Numbers are not gated.
+    # current schema and carry the vm and checkpoint blocks. Numbers are
+    # not gated.
     cargo run --release -p bench --bin tables -- \
         benchjson --hosts=2000 --out=target/bench_smoke.json || return 1
-    if ! grep -q '"schema": "sweeper-bench-v9"' target/bench_smoke.json; then
-        echo "FAIL: bench_smoke.json does not declare schema sweeper-bench-v9"
+    if ! grep -q '"schema": "sweeper-bench-v10"' target/bench_smoke.json; then
+        echo "FAIL: bench_smoke.json does not declare schema sweeper-bench-v10"
         return 1
     fi
-    if ! grep -q '"superblock"' target/bench_smoke.json; then
-        echo "FAIL: no superblock block in bench_smoke.json"
+    if ! grep -q '"vm"' target/bench_smoke.json; then
+        echo "FAIL: no vm block in bench_smoke.json"
         return 1
     fi
     if ! grep -q '"checkpoint"' target/bench_smoke.json; then
         echo "FAIL: no checkpoint block in bench_smoke.json"
         return 1
     fi
-    echo "schema-v9 declared, superblock + checkpoint blocks present"
+    echo "schema-v10 declared, vm + checkpoint blocks present"
 }
 
 stage_fleet_smoke() {
@@ -190,7 +185,7 @@ stage_fleet_smoke() {
         echo "FAIL: fleet latency window has no samples (p99 null)"
         return 1
     fi
-    echo "schema-v9 fleet block present, p99 finite, shard-invariant"
+    echo "schema-v10 fleet block present, p99 finite, shard-invariant"
 }
 
 stage_epidemic_smoke() {
@@ -215,7 +210,7 @@ stage_epidemic_smoke() {
         echo "FAIL: epidemic per-host tick rate is not finite"
         return 1
     fi
-    echo "schema-v9 epidemic1m block present, rate finite, SoA parity holds"
+    echo "schema-v10 epidemic1m block present, rate finite, SoA parity holds"
 }
 
 stage_recovery_smoke() {
@@ -247,7 +242,7 @@ stage_recovery_smoke() {
         echo "FAIL: Domain outbreak p999 ($domain_p999 ms) not below Full ($full_p999 ms)"
         return 1
     fi
-    echo "schema-v9 recovery block present, I12 clean, parity holds, domain p999 $domain_p999 < full $full_p999 ms"
+    echo "schema-v10 recovery block present, I12 clean, parity holds, domain p999 $domain_p999 < full $full_p999 ms"
 }
 
 stage_examples() {
@@ -277,7 +272,6 @@ run_stage no-unsafe stage_no_unsafe
 run_stage workspace-tests stage_workspace_tests
 run_stage chaos-seeds stage_chaos_seeds
 run_stage chaos-smoke stage_chaos_smoke
-run_stage sbparity stage_sbparity
 run_stage ckptparity stage_ckptparity
 run_stage bench-smoke stage_bench_smoke
 run_stage fleet-smoke stage_fleet_smoke

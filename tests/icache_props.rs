@@ -3,12 +3,14 @@
 //! Generalizes the hand-written self-modifying-code cases in
 //! `tests/decode_cache.rs`: a guest that perpetually re-installs code
 //! into an executable buffer (guest-store SMC) is driven through a
-//! *random interleaving* of stepping, host code patches, checkpoint
-//! clones, and rollbacks — once with the predecoded instruction cache
-//! on and once with it off. Every interleaving must leave the two
-//! machines bit-identical (pc, registers, retired instructions, virtual
-//! cycles). Any divergence means a stale cache line survived an
-//! invalidation path.
+//! *random interleaving* of stepping, host code patches, hook
+//! attach/detach, checkpoint clones, and rollbacks — once with the
+//! predecoded instruction cache on and once with it off. Every
+//! interleaving must leave the two machines bit-identical (pc,
+//! registers, retired instructions, virtual cycles), and a live hook
+//! must see the same instruction stream on both. Any divergence means a
+//! stale cache line survived an invalidation path, or the passive fast
+//! path ran while a hook was owed events.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -71,6 +73,9 @@ enum HostOp {
     /// Host-patch the executable buffer with template 0 or 1 (the same
     /// injection mechanism exploit payload installation uses).
     Patch(u8),
+    /// Attach (`true`) or detach (`false`) the counting hook, so its
+    /// liveness flips mid-execution.
+    Hook(bool),
     /// Take a checkpoint (COW clone of the whole machine).
     Checkpoint,
     /// Roll back to a retained checkpoint selected by this value.
@@ -81,6 +86,7 @@ fn arb_op() -> impl Strategy<Value = HostOp> {
     prop_oneof![
         (1u32..300).prop_map(HostOp::Step),
         (0u8..2).prop_map(HostOp::Patch),
+        any::<bool>().prop_map(HostOp::Hook),
         Just(HostOp::Checkpoint),
         any::<u64>().prop_map(HostOp::Rollback),
     ]
@@ -101,8 +107,26 @@ fn template_bytes(m: &Machine, label: &str) -> [u8; 16] {
     bytes
 }
 
+/// A hook whose liveness the schedule toggles; counts every
+/// instruction it is shown while live.
+#[derive(Default)]
+struct ToggleHook {
+    live: bool,
+    insns: u64,
+}
+
+impl Hook for ToggleHook {
+    fn is_passive(&self) -> bool {
+        !self.live
+    }
+    fn on_insn(&mut self, _m: &Machine, _pc: u32, _op: &Op) {
+        self.insns += 1;
+    }
+}
+
 struct Leg {
     m: Machine,
+    hook: ToggleHook,
     mgr: CheckpointManager,
     ckpts: Vec<CkptId>,
 }
@@ -115,6 +139,7 @@ impl Leg {
             .with_decode_cache(cache);
         Leg {
             m,
+            hook: ToggleHook::default(),
             // Manual cadence, generous retention: the interleaving
             // decides when clones happen.
             mgr: CheckpointManager::new(u64::MAX, 8),
@@ -126,7 +151,7 @@ impl Leg {
         match op {
             HostOp::Step(n) => {
                 for _ in 0..*n {
-                    if !matches!(self.m.step(), Status::Running) {
+                    if !matches!(self.m.step_hooked(&mut self.hook), Status::Running) {
                         break;
                     }
                 }
@@ -137,6 +162,7 @@ impl Leg {
                 let buf = self.m.symbols.addr_of("buf").expect("buf");
                 self.m.mem.write_bytes_host(buf, &bytes).expect("patch");
             }
+            HostOp::Hook(live) => self.hook.live = *live,
             HostOp::Checkpoint => {
                 let id = self.mgr.take(&mut self.m);
                 self.ckpts.push(id);
@@ -157,9 +183,10 @@ impl Leg {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random interleavings of guest-store SMC, host patches, clones,
-    /// and rollbacks keep cache-on and cache-off execution bit-identical
-    /// after every single operation.
+    /// Random interleavings of guest-store SMC, host patches, hook
+    /// attach/detach, clones, and rollbacks keep cache-on and cache-off
+    /// execution bit-identical after every single operation, delivering
+    /// identical hook streams.
     #[test]
     fn interleaved_smc_patches_clones_rollbacks_keep_cache_parity(
         ops in vec(arb_op(), 1..32),
@@ -176,6 +203,13 @@ proptest! {
                 i,
                 op
             );
+            prop_assert_eq!(
+                on.hook.insns,
+                off.hook.insns,
+                "hook streams diverged after op {} = {:?}",
+                i,
+                op
+            );
         }
         // The off-leg cache must stay inert through every interleaving.
         // (Rollback restores a machine with a fresh cache, so the on-leg
@@ -186,8 +220,9 @@ proptest! {
 }
 
 /// Deterministic companion: a fixed dense interleaving that exercises
-/// every op kind and *must* produce invalidations, so a regression that
-/// silently disables invalidation accounting fails loudly.
+/// every op kind and *must* produce invalidations and hook events, so a
+/// regression that silently disables invalidation accounting or hook
+/// delivery fails loudly.
 #[test]
 fn dense_interleaving_invalidates_and_stays_in_parity() {
     let mut on = Leg::boot(true);
@@ -197,7 +232,9 @@ fn dense_interleaving_invalidates_and_stays_in_parity() {
         HostOp::Checkpoint,
         HostOp::Step(150),
         HostOp::Patch(1),
+        HostOp::Hook(true),
         HostOp::Step(90),
+        HostOp::Hook(false),
         HostOp::Rollback(0),
         HostOp::Step(120),
         HostOp::Patch(0),
@@ -212,7 +249,9 @@ fn dense_interleaving_invalidates_and_stays_in_parity() {
         on.apply(op);
         off.apply(op);
         assert_eq!(obs(&on.m), obs(&off.m), "diverged after {op:?}");
+        assert_eq!(on.hook.insns, off.hook.insns, "hooks after {op:?}");
     }
+    assert_eq!(on.hook.insns, 90, "the attached hook saw every instruction");
     assert!(on.m.icache_stats().hits > 0, "cache engaged");
     assert!(
         on.m.icache_stats().invalidations > 0,
@@ -236,17 +275,16 @@ impl Hook for CountHook {
 /// Regression: a passive-hook fast-path decision made before
 /// `Machine::clone` must not leak into the clone. If the machine cached
 /// "hook is passive" anywhere copyable, a hook attaching between the
-/// clone and its first step could miss the clone's first instruction(s)
-/// — the superblock tier would dispatch a whole block before anyone
-/// re-asked. Liveness must be re-derived on the clone's first dispatch.
+/// clone and its first step could miss the clone's first instruction(s).
+/// Liveness must be re-derived on the clone's first step.
 #[test]
 fn clone_does_not_inherit_passive_fast_path_decision() {
     let prog = assemble(SMC_LOOP_GUEST).expect("asm");
     let mut m = Machine::boot(&prog, Aslr::off()).expect("boot");
-    // Decide the passive fast path on the live machine: the superblock
-    // tier is warm and mid-dispatch-cadence.
+    // Decide the passive fast path on the live machine, with a warm
+    // decode cache.
     assert!(m.run(&mut NopHook, 1_000).is_running());
-    assert!(m.superblock_stats().dispatches > 0, "fast path decided");
+    assert!(m.icache_stats().hits > 0, "fast path decided");
 
     // Clone, then attach a live hook before the clone's first step.
     let mut c = m.clone();
@@ -258,12 +296,7 @@ fn clone_does_not_inherit_passive_fast_path_decision() {
     assert_eq!(
         h.insns, retired,
         "the hook must see the clone's very first instruction — \
-         liveness is re-checked on the first dispatch, never inherited"
-    );
-    assert_eq!(
-        c.superblock_stats().dispatches,
-        0,
-        "no superblock may dispatch on the clone while a hook is live"
+         liveness is re-checked on the first step, never inherited"
     );
 
     // Control: the pre-clone machine itself keeps fast-pathing, and the
