@@ -16,16 +16,13 @@
 //!   Figure-7-style run printing the per-shard counter report (hosts
 //!   infected, antibodies applied, events exchanged, phase wall-clock).
 //! * `benchjson [--hosts=N] [--seed=S] [--out=F]` — quick fixed-iteration
-//!   perf snapshot: interpreter insns/sec with the decode cache off
-//!   and on (tight-loop guest), community-engine tick rates at K = 1
-//!   and K = 4, the chaos differential sweep (skipped with an explicit
-//!   marker on 1-core hosts), plus the `fig9dist` distribution-network
-//!   sweep and the `ckptcadence` checkpoint-overhead sweep — written
+//!   snapshot: the tight-loop guest's instruction and decode-cache
+//!   counts with the cache off and on, the community engine's outcome
+//!   at K = 1 and K = 4, the `fig9dist` distribution-network sweep and
+//!   the `ckptcadence` checkpoint-overhead sweep — written
 //!   machine-readably to `--out`. Asserts that K = 1 and K = 4 give the
-//!   identical community outcome; on a single-core host the wall-clock
-//!   ratio is marked `SKIPPED (1 core)`. CI gates on the written
-//!   document (not its numbers); commit the refreshed file when a
-//!   change moves performance.
+//!   identical community outcome. No wall-clock rates: `perfbench/` is
+//!   the wall-clock record. CI gates on the written document.
 //! * `fleet [--hosts=N] [--shards=K] [--seed=S] [--out=F] [--full]` —
 //!   the virtual-clock fleet reactor: N guest Sweeper hosts (default
 //!   1000) under open-loop Poisson load with a mid-run worm outbreak,
@@ -50,9 +47,8 @@
 //!   the same scanning worm with no defense, the connection-failure
 //!   estimator, the antibody distribution (α = 0.1 %, γ = 10 ticks),
 //!   and both. Gates on the 20k-host differential parity run (SoA ↔
-//!   legacy bit-equal at K ∈ {1, 4}, invariant I11) and records the
-//!   antibody-arm per-host tick rate against the PR-5 dense baseline.
-//!   Writes the `"epidemic1m"` block to `--out`; with `--full` it is
+//!   legacy bit-equal at K ∈ {1, 4}, invariant I11) and records each
+//!   arm's outcome. Writes the `"epidemic1m"` block to `--out`; with `--full` it is
 //!   attached to a fresh full snapshot instead of an epidemic-only
 //!   document.
 //! * `ckptparity` — checkpoint parity smoke: drive all four guests

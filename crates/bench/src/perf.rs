@@ -3,9 +3,10 @@
 //! `tables benchjson` runs a quick fixed-iteration pass and writes one
 //! snapshot; a change that moves performance commits the refreshed
 //! `BENCH_*.json`, so the repository records the trajectory change by
-//! change. Most figures are virtual-clock model outputs; the few wall-clock
-//! ones are single quick samples. Repeated wall-clock measurements with
-//! their spread come from the `perfbench/` benchmark.
+//! change. Every figure is a count or a virtual-clock model output, so
+//! the same command writes the same document (the `obs` block's
+//! `epidemic.*_wall_ms` gauges aside). Wall-clock measurements, repeated
+//! with their spread, come from the `perfbench/` benchmark alone.
 //!
 //! One writer prints every document: each block converts to a [`Json`]
 //! key→value list, and [`document`] prints the blocks under the
@@ -13,7 +14,6 @@
 //! the writer is hand-rolled.
 
 use svm::asm::assemble;
-use svm::clock::insns_per_sec;
 use svm::loader::Aslr;
 use svm::{CacheStats, Machine, NopHook, Status};
 
@@ -23,7 +23,7 @@ use epidemic::{CommunityEngine, DistNetParams, FailContParams, Parallelism};
 use crate::driver::{cadence_sweep, CadenceCell};
 
 /// The schema every `BENCH_*.json` document declares.
-const SCHEMA: &str = "sweeper-bench-v10";
+const SCHEMA: &str = "sweeper-bench-v11";
 
 /// A JSON value as the BENCH writer prints it. A scalar is held as its
 /// printed text: the [`ToJson`] impls below own number formatting and
@@ -208,16 +208,12 @@ pub fn document(blocks: Vec<(&'static str, Json)>) -> String {
     out
 }
 
-/// One interpreter-throughput measurement (fixed guest, NopHook).
+/// One interpreter run of a fixed guest under NopHook.
 #[derive(Debug, Clone, Copy)]
 pub struct VmRate {
-    /// Instructions retired per run.
+    /// Instructions retired.
     pub insns: u64,
-    /// Wall-clock seconds of the fastest rep.
-    pub wall_secs: f64,
-    /// `insns / wall_secs` for the fastest rep.
-    pub insns_per_sec: f64,
-    /// Decode-cache counters at the end of the fastest rep.
+    /// Decode-cache counters at the end of the run.
     pub stats: CacheStats,
 }
 
@@ -225,8 +221,6 @@ impl ToJson for VmRate {
     fn to_json(&self) -> Json {
         Json::Obj(fields! {
             "insns": self.insns,
-            "wall_secs": self.wall_secs,
-            "insns_per_sec": self.insns_per_sec,
             "cache_hits": self.stats.hits,
             "cache_misses": self.stats.misses,
             "cache_invalidations": self.stats.invalidations,
@@ -245,8 +239,6 @@ json_struct! {
         pub uncached: VmRate,
         /// Predecoded icache.
         pub cached: VmRate,
-        /// `cached.insns_per_sec / uncached.insns_per_sec`.
-        pub cached_over_uncached: f64,
     }
 }
 
@@ -256,12 +248,8 @@ json_struct! {
     pub struct CommunityRate {
         /// Shard count (K).
         pub shards: usize,
-        /// Wall-clock seconds for the whole campaign.
-        pub wall_secs: f64,
         /// Ticks simulated.
         pub ticks: u64,
-        /// `ticks / wall_secs`.
-        pub ticks_per_sec: f64,
         /// Hosts infected at the end (outcome fingerprint).
         pub infected: u64,
         /// Tick of first producer contact (outcome fingerprint).
@@ -283,13 +271,8 @@ json_struct! {
         pub k1: CommunityRate,
         /// The run at K = 4.
         pub k4: CommunityRate,
-        /// `k1.wall_secs / k4.wall_secs`.
-        pub k1_over_k4: f64,
         /// Whether K = 1 and K = 4 produced bit-identical outcomes.
         pub outcomes_identical: bool,
-        /// `"ok"`, or `"SKIPPED (1 core)"` when the wall-clock ratio is
-        /// meaningless because the host cannot run shards in parallel.
-        pub speedup_status: String,
     }
 }
 
@@ -433,31 +416,6 @@ pub fn render_distnet_sweep(hosts: u64, seed: u64, cells: &[DistNetCell]) -> Str
         ));
     }
     s
-}
-
-json_struct! {
-    /// The quick chaos differential sweep recorded in the `"chaos"` block,
-    /// or its explicit skip marker.
-    ///
-    /// The sweep is skipped on 1-core containers (its wall-secs figure is
-    /// meaningless there, matching the community `speedup_status`
-    /// convention) — but the block is **always emitted**. Silently dropping
-    /// it left `BENCH_*.json` consumers unable to tell "sweep clean" from
-    /// "sweep never ran"; the explicit `"SKIPPED (1 core)"` marker is the
-    /// fix.
-    #[derive(Debug, Clone, Default)]
-    pub struct ChaosSweep {
-        /// `"ok"` or `"SKIPPED (1 core)"`.
-        pub status: String,
-        /// Cases executed (0 when skipped).
-        pub cases: u64,
-        /// Total pipeline executions across all differential legs.
-        pub execs: u64,
-        /// Invariant violations (must be 0 when status is `"ok"`).
-        pub violations: u64,
-        /// Wall-clock seconds for the batch.
-        pub wall_secs: f64,
-    }
 }
 
 json_struct! {
@@ -804,16 +762,6 @@ pub fn render_recovery_block(b: &RecoveryBlock) -> String {
     s
 }
 
-/// The PR-5 dense-engine baseline the `fig9fail` speedup gate compares
-/// against: `BENCH_pr5.json` recorded 1741.78 ticks/s at 20 000 hosts
-/// (K = 1), i.e. ≈ 34.84 M host·ticks/s — a dense engine visits every
-/// host every tick, so hosts × ticks/s is its per-host tick rate.
-pub const PR5_HOST_TICKS_PER_SEC: f64 = 20_000.0 * PR5_TICKS_PER_SEC_20K;
-
-/// Ticks/s of the 20 000-host K = 1 community benchmark as committed in
-/// `BENCH_pr5.json` — the "before" side of the PR-9 scratch-hoist note.
-pub const PR5_TICKS_PER_SEC_20K: f64 = 1741.78;
-
 json_struct! {
     /// One arm of the `fig9fail` containment-mechanism sweep: the same
     /// scanning-worm outbreak with one combination of defenses switched on.
@@ -827,13 +775,6 @@ json_struct! {
         pub infection_ratio: f64,
         /// Ticks simulated.
         pub ticks: u64,
-        /// Wall-clock seconds for the run.
-        pub wall_secs: f64,
-        /// `hosts × ticks / wall_secs`: the event-driven engine's headline
-        /// unit. A dense engine pays O(hosts) per tick no matter how sparse
-        /// the outbreak; the SoA engine pays O(infected), so this number is
-        /// what grows with sparsity.
-        pub host_ticks_per_sec: f64,
         /// Sources flagged by the failure estimator (failest arms only).
         pub flagged_sources: u64,
         /// Attempt slots suppressed at flagged sources (failest arms only).
@@ -848,7 +789,8 @@ json_struct! {
     /// connection-failure containment (Zhou-style hyper-compact failure
     /// estimators) versus the paper's antibody distribution on the same
     /// million-host outbreak, run on the struct-of-arrays engine, plus the
-    /// differential-parity evidence that makes the speedup trustworthy.
+    /// differential-parity evidence that the SoA engine matches the legacy
+    /// one.
     ///
     /// Follows the [`FleetBlock`] conventions: `status` is `"ok"` once the
     /// block is produced (an absent block prints as its skip marker), and
@@ -874,24 +816,6 @@ json_struct! {
         /// Hosts used for the differential parity gate (20k, or `hosts`
         /// when smaller).
         pub parity_hosts: u64,
-        /// Headline per-host tick rate: the antibody arm (the contained,
-        /// sparse regime the SoA active-queue engine is built for).
-        pub host_ticks_per_sec: f64,
-        /// The dense-engine baseline ([`PR5_HOST_TICKS_PER_SEC`]).
-        pub pr5_host_ticks_per_sec: f64,
-        /// `host_ticks_per_sec / pr5_host_ticks_per_sec` (acceptance ≥ 50
-        /// at 1 M hosts).
-        pub speedup_vs_pr5: f64,
-        /// Scratch-hoist note, "before" side: the committed 20k-host K = 1
-        /// dense-engine tick rate ([`PR5_TICKS_PER_SEC_20K`]), from when
-        /// the coordinator allocated fresh outbox/inbox vectors every tick.
-        pub hoist_before_ticks_per_sec: f64,
-        /// Scratch-hoist note, "after" side: the same dense workload on the
-        /// *legacy* engine today, with the per-tick scratch hoisted to
-        /// reused per-shard buffers (the coordinator is shared, so the
-        /// dense engine benefits too — this isolates the hoist from the
-        /// SoA rework).
-        pub hoist_after_ticks_per_sec: f64,
         /// The four sweep arms, in none/failest/antibody/both order.
         pub arms: Vec<FailArm>,
     }
@@ -909,7 +833,6 @@ json_struct! {
 /// [`CommunityEngine::Differential`] at K ∈ {1, 4}.
 pub fn epidemic1m_block(hosts: u64, seed: u64) -> Epidemic1mBlock {
     use epidemic::community::run;
-    use std::time::Instant;
 
     let arm_params = |alpha: f64, gamma_ticks: u64, failcont: FailContParams| CommunityParams {
         hosts,
@@ -934,17 +857,12 @@ pub fn epidemic1m_block(hosts: u64, seed: u64) -> Epidemic1mBlock {
     ];
     let mut arms = Vec::new();
     for (name, alpha, gamma, fc) in specs {
-        let p = arm_params(alpha, gamma, fc);
-        let start = Instant::now();
-        let o = run(&p);
-        let wall = start.elapsed().as_secs_f64();
+        let o = run(&arm_params(alpha, gamma, fc));
         arms.push(FailArm {
             name: name.to_string(),
             infected: o.infected,
             infection_ratio: o.infection_ratio,
             ticks: o.ticks,
-            wall_secs: wall,
-            host_ticks_per_sec: ratio(hosts as f64 * o.ticks as f64, wall),
             flagged_sources: o.failcont.as_ref().map_or(0, |f| f.flagged_sources),
             suppressed_attempts: o.failcont.as_ref().map_or(0, |f| f.suppressed_attempts),
             protected: o.shard_stats.iter().map(|s| s.antibodies_applied).sum(),
@@ -969,32 +887,6 @@ pub fn epidemic1m_block(hosts: u64, seed: u64) -> Epidemic1mBlock {
     let k_invariant = (d1.t0_tick, d1.infected, &d1.curve, d1.ticks)
         == (d4.t0_tick, d4.infected, &d4.curve, d4.ticks);
 
-    // Scratch-hoist before/after: replay the PR-5 dense benchmark
-    // workload (hit-list worm, hot start, 20k hosts, K = 1) on the
-    // legacy engine and compare against the committed BENCH_pr5 rate.
-    // Best of 3 — a single run right after the sweep arms is dominated
-    // by allocator/frequency noise.
-    let hoist_after = (0..3)
-        .map(|_| {
-            let scenario = epidemic::Scenario {
-                n: 20_000.0,
-                ..epidemic::Scenario::hitlist(1000.0, 0.001, 5.0)
-            };
-            let p = CommunityParams {
-                i0: 10_000,
-                engine: CommunityEngine::Legacy,
-                ..CommunityParams::from_scenario(&scenario, 0.01, seed, Parallelism::Fixed(1))
-            };
-            let start = Instant::now();
-            let o = run(&p);
-            ratio(o.ticks as f64, start.elapsed().as_secs_f64())
-        })
-        .fold(0.0f64, f64::max);
-
-    let headline = arms
-        .iter()
-        .find(|a| a.name == "antibody")
-        .map_or(0.0, |a| a.host_ticks_per_sec);
     Epidemic1mBlock {
         status: "ok".to_string(),
         hosts,
@@ -1003,11 +895,6 @@ pub fn epidemic1m_block(hosts: u64, seed: u64) -> Epidemic1mBlock {
         soa_parity,
         k_invariant,
         parity_hosts,
-        host_ticks_per_sec: headline,
-        pr5_host_ticks_per_sec: PR5_HOST_TICKS_PER_SEC,
-        speedup_vs_pr5: ratio(headline, PR5_HOST_TICKS_PER_SEC),
-        hoist_before_ticks_per_sec: PR5_TICKS_PER_SEC_20K,
-        hoist_after_ticks_per_sec: hoist_after,
         arms,
     }
 }
@@ -1017,44 +904,18 @@ pub fn epidemic1m_block(hosts: u64, seed: u64) -> Epidemic1mBlock {
 pub fn render_epidemic_block(b: &Epidemic1mBlock) -> String {
     let mut s = format!(
         "fig9fail: {} hosts, seed {}, engine {} (scanning worm, rho = 0.1)\n\
-         {:>10} {:>10} {:>7} {:>9} {:>15} {:>9} {:>11} {:>10}\n",
-        b.hosts,
-        b.seed,
-        b.engine,
-        "arm",
-        "infected",
-        "ticks",
-        "wall_s",
-        "host_ticks/s",
-        "flagged",
-        "suppressed",
-        "protected"
+         {:>10} {:>10} {:>7} {:>9} {:>11} {:>10}\n",
+        b.hosts, b.seed, b.engine, "arm", "infected", "ticks", "flagged", "suppressed", "protected"
     );
     for a in &b.arms {
         s.push_str(&format!(
-            "{:>10} {:>10} {:>7} {:>9.3} {:>15.0} {:>9} {:>11} {:>10}\n",
-            a.name,
-            a.infected,
-            a.ticks,
-            a.wall_secs,
-            a.host_ticks_per_sec,
-            a.flagged_sources,
-            a.suppressed_attempts,
-            a.protected
+            "{:>10} {:>10} {:>7} {:>9} {:>11} {:>10}\n",
+            a.name, a.infected, a.ticks, a.flagged_sources, a.suppressed_attempts, a.protected
         ));
     }
     s.push_str(&format!(
-        "headline (antibody arm): {:.3e} host·ticks/s = {:.1}x the PR-5 dense baseline ({:.3e})\n\
-         scratch hoist (20k-host legacy engine): {:.2} ticks/s in BENCH_pr5 -> {:.2} ticks/s now\n\
-         parity @ {} hosts: soa_parity {} | k_invariant {}",
-        b.host_ticks_per_sec,
-        b.speedup_vs_pr5,
-        b.pr5_host_ticks_per_sec,
-        b.hoist_before_ticks_per_sec,
-        b.hoist_after_ticks_per_sec,
-        b.parity_hosts,
-        b.soa_parity,
-        b.k_invariant,
+        "parity @ {} hosts: soa_parity {} | k_invariant {}",
+        b.parity_hosts, b.soa_parity, b.k_invariant,
     ));
     s
 }
@@ -1063,14 +924,10 @@ pub fn render_epidemic_block(b: &Epidemic1mBlock) -> String {
 /// per top-level block, in print order.
 #[derive(Debug, Clone)]
 pub struct PerfReport {
-    /// Host cores visible to the process (1 on the CI container).
-    pub cores: usize,
     /// The branch-dense tight-loop guest, decode cache off and on.
     pub vm: VmBlock,
     /// The community engine at K = 1 vs K = 4.
     pub community: CommunityBlock,
-    /// The chaos differential sweep (always present; see [`ChaosSweep`]).
-    pub chaos: ChaosSweep,
     /// The `fig9dist` containment-vs-loss/Byzantine sweep.
     pub distnet: DistNetBlock,
     /// The `ckptcadence` sweep.
@@ -1100,43 +957,31 @@ fn tight_src(loop_iters: u32) -> String {
     )
 }
 
-/// Measure interpreter throughput of the guest `src`, taking the
-/// fastest of `reps` runs (boot excluded from timing), and export that
-/// rep's machine counters. `cache` enables the predecoded icache.
-pub fn vm_rate(src: &str, cache: bool, reps: u32) -> (VmRate, obs::MetricsRegistry) {
+/// Run the guest `src` to halt once and export the machine's
+/// counters. `cache` enables the predecoded icache.
+pub fn vm_rate(src: &str, cache: bool) -> (VmRate, obs::MetricsRegistry) {
     let prog = assemble(src).expect("asm");
-    let mut best: Option<(VmRate, obs::MetricsRegistry)> = None;
-    for _ in 0..reps.max(1) {
-        let mut m = Machine::boot(&prog, Aslr::off())
-            .expect("boot")
-            .with_decode_cache(cache);
-        let start = std::time::Instant::now();
-        let status = m.run(&mut NopHook, u64::MAX);
-        let wall = start.elapsed().as_secs_f64();
-        assert!(matches!(status, Status::Halted(_)), "loop must halt");
-        let r = VmRate {
-            insns: m.insns_retired,
-            wall_secs: wall,
-            insns_per_sec: insns_per_sec(m.insns_retired, wall),
-            stats: m.icache_stats(),
-        };
-        if best.as_ref().is_none_or(|(b, _)| wall < b.wall_secs) {
-            let mut reg = obs::MetricsRegistry::new();
-            m.export_metrics(&mut reg);
-            best = Some((r, reg));
-        }
-    }
-    best.expect("reps >= 1")
+    let mut m = Machine::boot(&prog, Aslr::off())
+        .expect("boot")
+        .with_decode_cache(cache);
+    let status = m.run(&mut NopHook, u64::MAX);
+    assert!(matches!(status, Status::Halted(_)), "loop must halt");
+    let mut reg = obs::MetricsRegistry::new();
+    m.export_metrics(&mut reg);
+    let r = VmRate {
+        insns: m.insns_retired,
+        stats: m.icache_stats(),
+    };
+    (r, reg)
 }
 
-/// Measure the guest `src` with the decode cache off and on (best of 3
-/// each), returning the block and the cached run's machine counters.
+/// Run the guest `src` with the decode cache off and on, returning the
+/// block and the cached run's machine counters.
 fn vm_block(src: &str) -> (VmBlock, obs::MetricsRegistry) {
-    let (uncached, _) = vm_rate(src, false, 3);
-    let (cached, metrics) = vm_rate(src, true, 3);
+    let (uncached, _) = vm_rate(src, false);
+    let (cached, metrics) = vm_rate(src, true);
     let block = VmBlock {
         loop_insns: uncached.insns,
-        cached_over_uncached: ratio(cached.insns_per_sec, uncached.insns_per_sec),
         uncached,
         cached,
     };
@@ -1170,12 +1015,10 @@ pub fn model_campaign(
 /// also returning the run's metrics snapshot
 /// ([`epidemic::CommunityOutcome::metrics`]).
 pub fn community_rate(hosts: u64, k: usize, seed: u64) -> (CommunityRate, obs::MetricsRegistry) {
-    let (outcome, wall) = model_campaign(hosts, Parallelism::Fixed(k), seed);
+    let (outcome, _) = model_campaign(hosts, Parallelism::Fixed(k), seed);
     let rate = CommunityRate {
         shards: k,
-        wall_secs: wall,
         ticks: outcome.ticks,
-        ticks_per_sec: ratio(outcome.ticks as f64, wall),
         infected: outcome.infected,
         t0_tick: outcome.t0_tick,
         curve_fnv: outcome
@@ -1186,45 +1029,10 @@ pub fn community_rate(hosts: u64, k: usize, seed: u64) -> (CommunityRate, obs::M
     (rate, outcome.metrics())
 }
 
-/// Ratio of two rates, 0.0 when the denominator is degenerate.
-fn ratio(num: f64, den: f64) -> f64 {
-    if den > 0.0 {
-        num / den
-    } else {
-        0.0
-    }
-}
-
-/// Run the quick chaos differential sweep, or mark it skipped.
-fn chaos_sweep(seed: u64, cores: usize) -> ChaosSweep {
-    if cores <= 1 {
-        return ChaosSweep {
-            status: "SKIPPED (1 core)".to_string(),
-            ..ChaosSweep::default()
-        };
-    }
-    let s = chaos::run_many((0..2).map(|i| seed.wrapping_add(i)));
-    ChaosSweep {
-        status: "ok".to_string(),
-        cases: s.cases,
-        execs: s.execs,
-        violations: s.violations.len() as u64,
-        wall_secs: s.wall_secs,
-    }
-}
-
-/// Run the whole quick pass: VM rates with the decode cache off and on
-/// (tight-loop guest), the community engine at K = 1
-/// and K = 4, the chaos differential sweep, and the distnet sweep.
+/// Run the whole quick pass: the tight-loop guest with the decode cache
+/// off and on, the community engine at K = 1 and K = 4, the distnet
+/// sweep and the checkpoint sweep.
 pub fn measure(hosts: u64, seed: u64, vm_loop_iters: u32) -> PerfReport {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    measure_with_cores(hosts, seed, vm_loop_iters, cores)
-}
-
-/// [`measure`] with the core count injected — the testable seam for the
-/// 1-core skip path (a 1-core container cannot force the multi-core
-/// branch and vice versa).
-pub fn measure_with_cores(hosts: u64, seed: u64, vm_loop_iters: u32, cores: usize) -> PerfReport {
     let (vm, mut obs) = vm_block(&tight_src(vm_loop_iters));
     let (k1, k1_obs) = community_rate(hosts, 1, seed);
     let (k4, _) = community_rate(hosts, 4, seed);
@@ -1232,18 +1040,11 @@ pub fn measure_with_cores(hosts: u64, seed: u64, vm_loop_iters: u32, cores: usiz
     let community = CommunityBlock {
         hosts,
         seed,
-        k1_over_k4: k1.wall_secs / k4.wall_secs.max(1e-12),
         outcomes_identical: (k1.infected, k1.t0_tick, k1.ticks, k1.curve_fnv)
             == (k4.infected, k4.t0_tick, k4.ticks, k4.curve_fnv),
-        speedup_status: if cores <= 1 {
-            "SKIPPED (1 core)".to_string()
-        } else {
-            "ok".to_string()
-        },
         k1,
         k4,
     };
-    let chaos = chaos_sweep(seed, cores);
     let distnet_hosts = hosts.clamp(400, 4_000);
     let distnet = DistNetBlock {
         status: "ok".to_string(),
@@ -1257,10 +1058,8 @@ pub fn measure_with_cores(hosts: u64, seed: u64, vm_loop_iters: u32, cores: usiz
     // pass keeps a short one and gates on the denser cadences instead.
     let ckpt_requests = if vm_loop_iters >= 10_000 { 6_000 } else { 250 };
     PerfReport {
-        cores,
         vm,
         community,
-        chaos,
         distnet,
         checkpoint: checkpoint_block(ckpt_requests),
         fleet: None,
@@ -1315,10 +1114,8 @@ impl PerfReport {
     /// its skip marker.
     pub fn to_json(&self) -> String {
         document(fields! {
-            "cores": self.cores,
             "vm": self.vm,
             "community": self.community,
-            "chaos": self.chaos,
             "distnet": self.distnet,
             "checkpoint": self.checkpoint,
             "fleet": Json::or_skipped(&self.fleet, "fleet"),
@@ -1352,14 +1149,8 @@ impl PerfReport {
         };
         let epi_line = match &self.epidemic1m {
             Some(e) => format!(
-                "\nepidemic1m  : {} hosts, {:.3e} host·ticks/s = {:.1}x PR-5 dense, \
-                 soa_parity {}, k_invariant {} [{}]",
-                e.hosts,
-                e.host_ticks_per_sec,
-                e.speedup_vs_pr5,
-                e.soa_parity,
-                e.k_invariant,
-                e.status,
+                "\nepidemic1m  : {} hosts, soa_parity {}, k_invariant {} [{}]",
+                e.hosts, e.soa_parity, e.k_invariant, e.status,
             ),
             None => "\nepidemic1m  : SKIPPED (run tables fig9fail)".to_string(),
         };
@@ -1379,26 +1170,20 @@ impl PerfReport {
             None => "\nrecovery    : SKIPPED (run tables fleetrecover)".to_string(),
         };
         format!(
-            "interpreter : {:>12.0} insns/s uncached | {:>12.0} icache -> {:.2}x\n\
-             community   : K=1 {:.3} s ({:.0} ticks/s) | K=4 {:.3} s ({:.0} ticks/s) -> {:.2}x [{}]\n\
+            "interpreter : {} insns uncached | {} icache ({} hits, {} misses)\n\
+             community   : K=1 {} ticks, {} infected | K=4 {} ticks, {} infected\n\
              outcomes    : identical across K = {}\n\
-             chaos       : {} cases, {} execs, {} violations [{}]\n\
              distnet     : {} fig9dist cells over {} hosts, {} unverified deployments (I8) [{}]\n\
              checkpoint  : incremental {:.4}% vs full {:.4}% @ 200 ms ({} requests) [{}]{fleet_line}{epi_line}{recovery_line}",
-            self.vm.uncached.insns_per_sec,
-            self.vm.cached.insns_per_sec,
-            self.vm.cached_over_uncached,
-            self.community.k1.wall_secs,
-            self.community.k1.ticks_per_sec,
-            self.community.k4.wall_secs,
-            self.community.k4.ticks_per_sec,
-            self.community.k1_over_k4,
-            self.community.speedup_status,
+            self.vm.uncached.insns,
+            self.vm.cached.insns,
+            self.vm.cached.stats.hits,
+            self.vm.cached.stats.misses,
+            self.community.k1.ticks,
+            self.community.k1.infected,
+            self.community.k4.ticks,
+            self.community.k4.infected,
             self.community.outcomes_identical,
-            self.chaos.cases,
-            self.chaos.execs,
-            self.chaos.violations,
-            self.chaos.status,
             self.distnet.cells.len(),
             self.distnet.hosts,
             unverified,
@@ -1514,12 +1299,11 @@ mod tests {
     #[test]
     fn vm_rate_counts_cache_activity() {
         let tight = tight_src(500);
-        let (off, _) = vm_rate(&tight, false, 1);
-        let (on, _) = vm_rate(&tight, true, 1);
+        let (off, _) = vm_rate(&tight, false);
+        let (on, _) = vm_rate(&tight, true);
         assert_eq!(off.insns, on.insns, "same program, same retire count");
         assert_eq!(off.stats, CacheStats::default(), "disabled cache is inert");
         assert!(on.stats.hits > 0, "enabled cache serves hits");
-        assert!(on.insns_per_sec > 0.0 && off.insns_per_sec > 0.0);
     }
 
     #[test]
@@ -1531,13 +1315,27 @@ mod tests {
         );
         let json = r.to_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"schema\": \"sweeper-bench-v10\""));
+        assert!(json.contains("\"schema\": \"sweeper-bench-v11\""));
+        assert!(
+            json.contains("\"distnet\": {\n    \"status\": \"ok\""),
+            "distnet block carries an explicit status"
+        );
+        assert!(
+            json.contains("\"checkpoint\": {\n    \"status\": \"ok\""),
+            "checkpoint block is never skipped (virtual time)"
+        );
+        assert!(
+            json.contains("\"fleet\": {\"status\": \"SKIPPED (run tables fleet)\"}"),
+            "the quick pass marks the fleet block skipped, never drops it"
+        );
+        assert!(
+            json.contains("\"epidemic1m\": {\"status\": \"SKIPPED (run tables fig9fail)\"}"),
+            "the quick pass marks the epidemic1m block skipped, never drops it"
+        );
         assert!(
             json.contains("\"recovery\": {\"status\": \"SKIPPED (run tables fleetrecover)\"}"),
             "the quick pass marks the recovery block skipped, never drops it"
         );
-        assert!(json.contains("\"cached_over_uncached\""));
-        assert!(json.contains("\"speedup_status\""));
         // Both tiers retired the same instruction stream.
         assert_eq!(r.vm.uncached.insns, r.vm.cached.insns);
         // The distnet block is present and populated.
@@ -1576,40 +1374,18 @@ mod tests {
     }
 
     #[test]
-    fn skipped_sweeps_still_emit_their_blocks() {
-        // Regression: the v4 writer dropped the chaos block entirely
-        // when the sweep was skipped on a 1-core container, so JSON
-        // consumers could not tell "clean" from "never ran". Force the
-        // 1-core path and require the block with its explicit marker.
-        let r = measure_with_cores(400, 7, 300, 1);
-        assert_eq!(r.chaos.status, "SKIPPED (1 core)");
-        assert_eq!((r.chaos.cases, r.chaos.execs), (0, 0));
-        let json = r.to_json();
-        assert!(
-            json.contains("\"chaos\": {\"status\": \"SKIPPED (1 core)\""),
-            "chaos block must survive the skip with an explicit marker"
-        );
-        assert!(
-            json.contains("\"distnet\": {\n    \"status\": \"ok\""),
-            "distnet block carries an explicit status too"
-        );
-        assert!(
-            json.contains("\"checkpoint\": {\n    \"status\": \"ok\""),
-            "checkpoint block is never skipped (virtual time)"
-        );
-        assert!(
-            json.contains("\"fleet\": {\"status\": \"SKIPPED (run tables fleet)\"}"),
-            "the quick pass marks the fleet block skipped, never drops it"
-        );
-        assert!(
-            json.contains("\"epidemic1m\": {\"status\": \"SKIPPED (run tables fig9fail)\"}"),
-            "the quick pass marks the epidemic1m block skipped, never drops it"
-        );
-        assert!(
-            json.contains("\"recovery\": {\"status\": \"SKIPPED (run tables fleetrecover)\"}"),
-            "the quick pass marks the recovery block skipped, never drops it"
-        );
-        assert_eq!(r.community.speedup_status, "SKIPPED (1 core)");
+    fn quick_pass_document_is_deterministic() {
+        // The document carries no wall-clock figure apart from the
+        // community run's two phase-time gauges in the `obs` block.
+        let doc = || {
+            let mut r = measure(400, 7, 300);
+            for gauge in ["epidemic.generate_wall_ms", "epidemic.apply_wall_ms"] {
+                assert!(r.obs.gauge_value(gauge).is_some(), "{gauge} exported");
+                r.obs.gauge(gauge, 0.0);
+            }
+            r.to_json()
+        };
+        assert_eq!(doc(), doc());
     }
 
     #[test]
@@ -1639,17 +1415,15 @@ mod tests {
             arm("both").infected < arm("none").infected,
             "combined defenses must beat no defense"
         );
-        // Headline fields are wired to the antibody arm and the PR-5
-        // baseline constant.
-        assert_eq!(b.host_ticks_per_sec, arm("antibody").host_ticks_per_sec);
-        assert!(b.speedup_vs_pr5 > 0.0 && b.speedup_vs_pr5.is_finite());
-        assert!(b.hoist_after_ticks_per_sec > 0.0);
         // The JSON block round-trips without bare non-finite tokens.
         let json = document(vec![("epidemic1m", b.to_json())]);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"soa_parity\": true"));
         assert!(json.contains("\"k_invariant\": true"));
         assert!(!json.contains("NaN") && !json.contains(": inf"));
+        // Same seed, same block: the sweep records no wall-clock time.
+        let again = document(vec![("epidemic1m", epidemic1m_block(4_000, 21).to_json())]);
+        assert_eq!(json, again, "epidemic1m block is bit-stable");
     }
 
     #[test]
@@ -1680,7 +1454,7 @@ mod tests {
     }
 
     const GOLDEN_FLEET_SMOKE: &str = r#"{
-  "schema": "sweeper-bench-v10",
+  "schema": "sweeper-bench-v11",
   "fleet": {
     "status": "ok",
     "hosts": 5,
@@ -1704,7 +1478,7 @@ mod tests {
 "#;
 
     const GOLDEN_RECOVERY_SMOKE: &str = r#"{
-  "schema": "sweeper-bench-v10",
+  "schema": "sweeper-bench-v11",
   "recovery": {
     "status": "ok",
     "hosts": 5,
@@ -1767,7 +1541,7 @@ mod tests {
         assert_eq!(
             json,
             r#"{
-  "schema": "sweeper-bench-v10",
+  "schema": "sweeper-bench-v11",
   "finite": 0.500000,
   "nan": null,
   "inf": null,
@@ -1777,14 +1551,6 @@ mod tests {
 }
 "#
         );
-    }
-
-    #[test]
-    fn multi_core_path_runs_the_chaos_sweep() {
-        let c = super::chaos_sweep(3, 2);
-        assert_eq!(c.status, "ok");
-        assert!(c.cases == 2 && c.execs > 0, "sweep actually ran");
-        assert_eq!(c.violations, 0, "quick sweep must be clean");
     }
 
     #[test]

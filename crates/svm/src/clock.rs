@@ -90,20 +90,6 @@ pub fn secs_to_cycles(s: f64) -> u64 {
     (s * CYCLES_PER_SEC as f64) as u64
 }
 
-/// Host-side interpreter throughput: instructions retired per wall-clock
-/// second. Returns 0.0 for a degenerate (non-positive) elapsed time so
-/// callers never divide by zero. This is the number the decode-cache
-/// benchmarks and `tables benchjson` report — it measures the *host*
-/// dispatch loop, unlike everything else in this module which is about
-/// deterministic *virtual* time.
-pub fn insns_per_sec(insns: u64, wall_secs: f64) -> f64 {
-    if wall_secs > 0.0 {
-        insns as f64 / wall_secs
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,13 +109,6 @@ mod tests {
         c.tick(u64::MAX);
         c.tick(10);
         assert_eq!(c.cycles(), u64::MAX);
-    }
-
-    #[test]
-    fn insns_per_sec_is_total_over_time() {
-        assert!((insns_per_sec(2_000_000, 2.0) - 1_000_000.0).abs() < 1e-6);
-        assert_eq!(insns_per_sec(123, 0.0), 0.0);
-        assert_eq!(insns_per_sec(123, -1.0), 0.0);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 # Stages, in order (tier 1 always runs first):
 #   tier1        release build + full test suite + rustfmt
 #                (scripts/tier1.sh — the per-commit gate)
-#   clippy       whole-workspace clippy, warnings denied
+#   clippy       whole-workspace clippy over every target (libs, bins,
+#                tests, examples), warnings denied
 #   no-unsafe    grep gate: the workspace stays `unsafe`-free
 #                (DESIGN.md §7) — belt-and-braces on top of the
 #                workspace-level `unsafe_code = "forbid"` lint
@@ -26,21 +27,22 @@
 #   ckptparity   checkpoint parity: the incremental snapshot engine
 #                must reconstruct bit-identically to the full-copy
 #                oracle on every guest (differential engine lockstep)
-#   bench-smoke  `tables benchjson` perf snapshot, the only stage that
+#   bench-smoke  `tables benchjson` snapshot, the only stage that
 #                writes a full document: the run must succeed and the
-#                written JSON must carry the schema-v10 "vm" AND
+#                written JSON must carry the schema-v11 "vm" AND
 #                "checkpoint" blocks (the binary itself asserts identical
-#                community outcomes at K=1 and K=4); the numbers are NOT
+#                community outcomes at K=1 and K=4); the counts are NOT
 #                gated (commit refreshed BENCH_*.json deliberately)
 #   fleet-smoke  `tables fleet` at 1k hosts over a short horizon; the
 #                written JSON must carry the "fleet" block with a
 #                finite outbreak p99 and shard_invariant=true (the
 #                reactor determinism gate, invariant I10)
 #   epidemic-smoke  `tables fig9fail` at reduced hosts; the written
-#                JSON must carry the "epidemic1m" block with a finite
-#                per-host tick rate and soa_parity=true (the SoA/legacy
-#                differential gate, invariant I11 — the binary itself
-#                asserts parity and K-invariance before writing)
+#                JSON must carry the "epidemic1m" block with all four
+#                arms (none, failest, antibody, both), soa_parity=true
+#                and k_invariant=true (the SoA/legacy differential gate,
+#                invariant I11 — the binary itself asserts parity and
+#                K-invariance before writing)
 #   recovery-smoke  `tables fleetrecover` at 1k hosts: the same
 #                outbreak under Full vs Domain recovery plus a
 #                Differential oracle leg; the written JSON must carry
@@ -148,12 +150,12 @@ stage_ckptparity() {
 
 stage_bench_smoke() {
     # Gated: the run must succeed, and the snapshot must declare the
-    # current schema and carry the vm and checkpoint blocks. Numbers are
+    # current schema and carry the vm and checkpoint blocks. Counts are
     # not gated.
     cargo run --release -p bench --bin tables -- \
         benchjson --hosts=2000 --out=target/bench_smoke.json || return 1
-    if ! grep -q '"schema": "sweeper-bench-v10"' target/bench_smoke.json; then
-        echo "FAIL: bench_smoke.json does not declare schema sweeper-bench-v10"
+    if ! grep -q '"schema": "sweeper-bench-v11"' target/bench_smoke.json; then
+        echo "FAIL: bench_smoke.json does not declare schema sweeper-bench-v11"
         return 1
     fi
     if ! grep -q '"vm"' target/bench_smoke.json; then
@@ -164,7 +166,7 @@ stage_bench_smoke() {
         echo "FAIL: no checkpoint block in bench_smoke.json"
         return 1
     fi
-    echo "schema-v10 declared, vm + checkpoint blocks present"
+    echo "schema-v11 declared, vm + checkpoint blocks present"
 }
 
 stage_fleet_smoke() {
@@ -185,13 +187,14 @@ stage_fleet_smoke() {
         echo "FAIL: fleet latency window has no samples (p99 null)"
         return 1
     fi
-    echo "schema-v10 fleet block present, p99 finite, shard-invariant"
+    echo "schema-v11 fleet block present, p99 finite, shard-invariant"
 }
 
 stage_epidemic_smoke() {
     # Gated: the fig9fail binary itself asserts the differential parity
     # verdicts (I11 + K-invariance) before writing; the written block
-    # must then carry soa_parity=true and a finite per-host tick rate.
+    # must then carry all four arms, soa_parity=true and
+    # k_invariant=true.
     cargo run --release -p bench --bin tables -- \
         fig9fail --hosts=50000 --out=target/epidemic_smoke.json
     if ! grep -q '"epidemic1m"' target/epidemic_smoke.json; then
@@ -206,11 +209,13 @@ stage_epidemic_smoke() {
         echo "FAIL: shard count changed the parity-gate outcome"
         return 1
     fi
-    if grep -q '"host_ticks_per_sec": null' target/epidemic_smoke.json; then
-        echo "FAIL: epidemic per-host tick rate is not finite"
-        return 1
-    fi
-    echo "schema-v10 epidemic1m block present, rate finite, SoA parity holds"
+    for arm in none failest antibody both; do
+        if ! grep -q "\"name\": \"$arm\"" target/epidemic_smoke.json; then
+            echo "FAIL: epidemic1m block has no '$arm' arm"
+            return 1
+        fi
+    done
+    echo "schema-v11 epidemic1m block present, all four arms, SoA parity holds"
 }
 
 stage_recovery_smoke() {
@@ -242,7 +247,7 @@ stage_recovery_smoke() {
         echo "FAIL: Domain outbreak p999 ($domain_p999 ms) not below Full ($full_p999 ms)"
         return 1
     fi
-    echo "schema-v10 recovery block present, I12 clean, parity holds, domain p999 $domain_p999 < full $full_p999 ms"
+    echo "schema-v11 recovery block present, I12 clean, parity holds, domain p999 $domain_p999 < full $full_p999 ms"
 }
 
 stage_examples() {
